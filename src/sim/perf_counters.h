@@ -9,49 +9,36 @@
 
 namespace sgxb {
 
+// The one list of counters. The struct's fields, operator== and operator+=
+// all expand it, so a new counter cannot silently drop out of the
+// engine-differential and live == replay oracles.
+#define SGXB_PERF_COUNTER_FIELDS(X)                                          \
+  /* Cycle account (the "time" axis of every figure). */                    \
+  X(cycles)                                                                  \
+  /* Instruction mix. */                                                     \
+  X(alu_ops) X(branches) X(fp_ops) X(calls) X(syscalls)                      \
+  /* Application memory traffic. */                                          \
+  X(loads) X(stores)                                                         \
+  /* Metadata traffic added by a hardening scheme (shadow memory, bounds     \
+     tables, LB footers), counted separately so instrumentation cost is      \
+     attributable. */                                                        \
+  X(metadata_loads) X(metadata_stores)                                       \
+  /* Cache behaviour. */                                                     \
+  X(l1_accesses) X(l1_misses) X(l2_misses) X(llc_accesses) X(llc_misses)     \
+  /* Paging behaviour. */                                                    \
+  X(epc_faults) X(minor_faults)                                              \
+  /* Bounds-check outcome counts (security-relevant). */                     \
+  X(bounds_checks) X(bounds_violations)                                      \
+  /* Enclave transitions (zero unless CostModel::TransitionsEnabled()).      \
+     `ocalls` mirrors enclave-mode syscalls when the axis is on;             \
+     `transition_cycles` is the slice of `cycles` attributable to world      \
+     switches, so transition overhead is separable in every table. */        \
+  X(ecalls) X(ocalls) X(transition_cycles)
+
 struct PerfCounters {
-  // Cycle account (the "time" axis of every figure).
-  uint64_t cycles = 0;
-
-  // Instruction mix.
-  uint64_t alu_ops = 0;
-  uint64_t branches = 0;
-  uint64_t fp_ops = 0;
-  uint64_t calls = 0;
-  uint64_t syscalls = 0;
-
-  // Application memory traffic.
-  uint64_t loads = 0;
-  uint64_t stores = 0;
-
-  // Metadata traffic added by a hardening scheme (shadow memory, bounds
-  // tables, LB footers). Counted separately so instrumentation cost is
-  // attributable.
-  uint64_t metadata_loads = 0;
-  uint64_t metadata_stores = 0;
-
-  // Cache behaviour.
-  uint64_t l1_accesses = 0;
-  uint64_t l1_misses = 0;
-  uint64_t l2_misses = 0;
-  uint64_t llc_accesses = 0;
-  uint64_t llc_misses = 0;
-
-  // Paging behaviour.
-  uint64_t epc_faults = 0;
-  uint64_t minor_faults = 0;
-
-  // Bounds-check outcome counts (security-relevant).
-  uint64_t bounds_checks = 0;
-  uint64_t bounds_violations = 0;
-
-  // Enclave transitions (zero unless CostModel::TransitionsEnabled()).
-  // `ocalls` mirrors enclave-mode syscalls when the axis is on;
-  // `transition_cycles` is the slice of `cycles` attributable to world
-  // switches, so transition overhead is separable in every table.
-  uint64_t ecalls = 0;
-  uint64_t ocalls = 0;
-  uint64_t transition_cycles = 0;
+#define SGXB_PERF_COUNTER_DECLARE(name) uint64_t name = 0;
+  SGXB_PERF_COUNTER_FIELDS(SGXB_PERF_COUNTER_DECLARE)
+#undef SGXB_PERF_COUNTER_DECLARE
 
   uint64_t instructions() const { return alu_ops + branches + fp_ops + loads + stores; }
   uint64_t page_faults() const { return epc_faults + minor_faults; }
@@ -59,47 +46,27 @@ struct PerfCounters {
   // Exact equality across every counter - the engine-differential tests'
   // definition of "bit-identical simulation".
   bool operator==(const PerfCounters& other) const {
-    return cycles == other.cycles && alu_ops == other.alu_ops &&
-           branches == other.branches && fp_ops == other.fp_ops &&
-           calls == other.calls && syscalls == other.syscalls &&
-           loads == other.loads && stores == other.stores &&
-           metadata_loads == other.metadata_loads &&
-           metadata_stores == other.metadata_stores &&
-           l1_accesses == other.l1_accesses && l1_misses == other.l1_misses &&
-           l2_misses == other.l2_misses && llc_accesses == other.llc_accesses &&
-           llc_misses == other.llc_misses && epc_faults == other.epc_faults &&
-           minor_faults == other.minor_faults && bounds_checks == other.bounds_checks &&
-           bounds_violations == other.bounds_violations && ecalls == other.ecalls &&
-           ocalls == other.ocalls && transition_cycles == other.transition_cycles;
+#define SGXB_PERF_COUNTER_EQ(name) name == other.name&&
+    return SGXB_PERF_COUNTER_FIELDS(SGXB_PERF_COUNTER_EQ) true;
+#undef SGXB_PERF_COUNTER_EQ
   }
   bool operator!=(const PerfCounters& other) const { return !(*this == other); }
 
   PerfCounters& operator+=(const PerfCounters& other) {
-    cycles += other.cycles;
-    alu_ops += other.alu_ops;
-    branches += other.branches;
-    fp_ops += other.fp_ops;
-    calls += other.calls;
-    syscalls += other.syscalls;
-    loads += other.loads;
-    stores += other.stores;
-    metadata_loads += other.metadata_loads;
-    metadata_stores += other.metadata_stores;
-    l1_accesses += other.l1_accesses;
-    l1_misses += other.l1_misses;
-    l2_misses += other.l2_misses;
-    llc_accesses += other.llc_accesses;
-    llc_misses += other.llc_misses;
-    epc_faults += other.epc_faults;
-    minor_faults += other.minor_faults;
-    bounds_checks += other.bounds_checks;
-    bounds_violations += other.bounds_violations;
-    ecalls += other.ecalls;
-    ocalls += other.ocalls;
-    transition_cycles += other.transition_cycles;
+#define SGXB_PERF_COUNTER_ADD(name) name += other.name;
+    SGXB_PERF_COUNTER_FIELDS(SGXB_PERF_COUNTER_ADD)
+#undef SGXB_PERF_COUNTER_ADD
     return *this;
   }
 };
+
+// Every field comes from the list: a counter declared by hand outside it
+// would be missed by operator== and operator+=, and trips this.
+#define SGXB_PERF_COUNTER_ONE(name) +1
+static_assert(sizeof(PerfCounters) ==
+                  (0 SGXB_PERF_COUNTER_FIELDS(SGXB_PERF_COUNTER_ONE)) * sizeof(uint64_t),
+              "every PerfCounters field must be in SGXB_PERF_COUNTER_FIELDS");
+#undef SGXB_PERF_COUNTER_ONE
 
 }  // namespace sgxb
 

@@ -1,5 +1,7 @@
 #include "src/trace/decoded_trace.h"
 
+#include <algorithm>
+
 namespace sgxb {
 
 DecodedTrace::DecodedTrace(const Trace& trace)
@@ -16,9 +18,14 @@ void DecodedTrace::Decode(const uint8_t* begin, const uint8_t* end) {
   encoded_bytes_ = static_cast<size_t>(end - begin);
   stream_hash_ = summary_.truncated == 0 ? summary_.stream_hash
                                          : FnvUpdate(kFnvOffset, begin, encoded_bytes_);
-  // Typical encodings run a few bytes per event; reserving at bytes/2 keeps
-  // reallocation off the decode path without overshooting much.
-  events_.reserve(encoded_bytes_ / 2 + 16);
+  // Size both bulky arrays once, so decode writes each output page exactly
+  // once and never regrows or copies them. Every event takes at least one
+  // encoded byte, so the summary's event count is clamped to the byte count:
+  // the stream hash does not cover it and a corrupt file must not drive an
+  // oversized reservation. Every loop phase takes at least three bytes
+  // (shape, addr delta, step), plus a final phase the stream may cut short.
+  events_.reserve(std::min<uint64_t>(summary_.event_count, encoded_bytes_));
+  phases_.reserve(encoded_bytes_ / 3 + kMaxLoopPeriod);
 
   TraceReader reader(begin, end);
   TraceEvent ev;
@@ -45,9 +52,6 @@ void DecodedTrace::Decode(const uint8_t* begin, const uint8_t* end) {
     }
     events_.push_back(d);
   }
-  events_.shrink_to_fit();
-  deltas_.shrink_to_fit();
-  phases_.shrink_to_fit();
 }
 
 }  // namespace sgxb

@@ -14,6 +14,16 @@
 // The decode uses the one TraceReader implementation, so the decoded event
 // sequence is definitionally identical to what a streaming replay sees:
 // ReplayDecoded(DecodedTrace(t), cfg) == ReplayTrace(t, cfg) bit-for-bit.
+//
+// Sizing: the decode is one pass that writes each output page exactly once.
+// The event array is reserved at min(summary event count, encoded bytes),
+// since every event takes at least one byte and the summary count is not
+// covered by the stream hash; the phase table at encoded_bytes / 3 +
+// kMaxLoopPeriod, since every loop phase takes at least three bytes. For any
+// file the recorder writes both are upper bounds, so neither array regrows,
+// and neither is shrunk afterwards.
+// The compute-delta table (one entry per counter flush, a handful per trace
+// in practice) grows normally.
 
 #ifndef SGXBOUNDS_SRC_TRACE_DECODED_TRACE_H_
 #define SGXBOUNDS_SRC_TRACE_DECODED_TRACE_H_

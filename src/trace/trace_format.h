@@ -156,13 +156,16 @@ inline int64_t UnZigZag(uint64_t v) {
 inline void PutZigZag(std::vector<uint8_t>& out, int64_t v) { PutVarint(out, ZigZag(v)); }
 
 // Decode-side varint: advances *p; returns 0 and pins *p to end on overrun
-// (the caller detects truncation by position).
+// (the caller detects truncation by position). Bits past the 64th of an
+// over-long (corrupt) varint are dropped.
 inline uint64_t GetVarint(const uint8_t** p, const uint8_t* end) {
   uint64_t v = 0;
   uint32_t shift = 0;
   while (*p < end) {
     const uint8_t byte = *(*p)++;
-    v |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if (shift < 64) {
+      v |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    }
     if ((byte & 0x80) == 0) {
       return v;
     }

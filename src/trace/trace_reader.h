@@ -35,7 +35,11 @@ struct LoopPhase {
   }
 };
 
-// One decoded event, with absolute operands.
+// One decoded event, with absolute operands. The scalar operands are reset
+// for every event; `delta` is defined only for kCpuDelta and
+// `phases[0, period)` only for kLoopRun. A TraceEvent reused across Next()
+// calls may hold stale payload bytes for other kinds, which operator== and
+// FormatTraceEvent never read.
 struct TraceEvent {
   TraceEventKind kind = TraceEventKind::kControl;
   uint8_t sub = 0;     // ParallelSub / MarkerSub / ControlSub
@@ -47,9 +51,9 @@ struct TraceEvent {
   uint64_t count = 0;  // kAccessRun / kCommit / kDecommit runs / kLoopRun iters
   uint32_t page = 0;   // kCommit / kDecommit first page
   uint64_t value = 0;  // nthreads (begin) / spawn cycles (end) / epoch id
-  CpuDelta delta;      // kCpuDelta
+  CpuDelta delta;      // kCpuDelta only
   uint32_t period = 0;               // kLoopRun phase count
-  LoopPhase phases[kMaxLoopPeriod];  // kLoopRun phases [0, period)
+  LoopPhase phases[kMaxLoopPeriod];  // kLoopRun only: phases [0, period)
 
   bool operator==(const TraceEvent& other) const;
 };

@@ -31,6 +31,10 @@ void TraceRecorder::BeginRun(const TraceHeader& machine_fields) {
 
 uint32_t TraceRecorder::RegisterCpu(const PerfCounters* counters) {
   const uint32_t id = static_cast<uint32_t>(tracks_.size());
+  // Every cpu but the first is introduced by its own worker-begin event, so
+  // no cpu id can exceed the events before it; TraceReader rejects streams
+  // that claim otherwise.
+  CHECK_LE(id, event_count_);
   CpuTrack track;
   track.counters = counters;
   tracks_.push_back(track);

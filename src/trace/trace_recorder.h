@@ -57,6 +57,8 @@ class TraceRecorder {
 
   // Registers a hardware thread; returns its trace cpu id. The pointer must
   // stay valid until Finalize (the recorder reads counters at flush points).
+  // Ids are handed out in order and a cpu registers when it starts running,
+  // so id k never precedes the k-th event (checked; the reader relies on it).
   uint32_t RegisterCpu(const PerfCounters* counters);
 
   // Retain only the first `n` events in the buffer (hash and count still

@@ -30,28 +30,9 @@ void ExpectCountersEqual(const PerfCounters& a, const PerfCounters& b,
     uint64_t PerfCounters::*member;
   };
   static const Field kFields[] = {
-      {"cycles", &PerfCounters::cycles},
-      {"alu_ops", &PerfCounters::alu_ops},
-      {"branches", &PerfCounters::branches},
-      {"fp_ops", &PerfCounters::fp_ops},
-      {"calls", &PerfCounters::calls},
-      {"syscalls", &PerfCounters::syscalls},
-      {"loads", &PerfCounters::loads},
-      {"stores", &PerfCounters::stores},
-      {"metadata_loads", &PerfCounters::metadata_loads},
-      {"metadata_stores", &PerfCounters::metadata_stores},
-      {"l1_accesses", &PerfCounters::l1_accesses},
-      {"l1_misses", &PerfCounters::l1_misses},
-      {"l2_misses", &PerfCounters::l2_misses},
-      {"llc_accesses", &PerfCounters::llc_accesses},
-      {"llc_misses", &PerfCounters::llc_misses},
-      {"epc_faults", &PerfCounters::epc_faults},
-      {"minor_faults", &PerfCounters::minor_faults},
-      {"bounds_checks", &PerfCounters::bounds_checks},
-      {"bounds_violations", &PerfCounters::bounds_violations},
-      {"ecalls", &PerfCounters::ecalls},
-      {"ocalls", &PerfCounters::ocalls},
-      {"transition_cycles", &PerfCounters::transition_cycles},
+#define SGXB_COUNTER_FIELD(name) {#name, &PerfCounters::name},
+      SGXB_PERF_COUNTER_FIELDS(SGXB_COUNTER_FIELD)
+#undef SGXB_COUNTER_FIELD
   };
   for (const Field& f : kFields) {
     EXPECT_EQ(a.*f.member, b.*f.member) << what << ": field " << f.name;
