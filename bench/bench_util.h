@@ -59,11 +59,7 @@ inline void AddBenchDriverFlags(FlagParser& parser) {
                  "print host wall-clock per simulation to stderr");
   parser.AddBool("json", &JsonFlag(),
                  "write measured rows + host timings to BENCH_<binary>.json");
-  parser.AddCallback(
-      "ir_engine",
-      [](const std::string& value) { return ParseIrEngine(value, &DefaultIrEngine()); },
-      "IR execution engine for interpreter-driven workloads",
-      IrEngineName(DefaultIrEngine()), {"reference", "threaded", "jit"});
+  AddIrEngineFlag(parser);
 }
 
 inline uint32_t ResolveBenchThreads() {
@@ -320,25 +316,13 @@ inline std::vector<RunResult> RunBenchJobs(const std::vector<BenchJob>& jobs,
   if (SelftimeFlag()) {
     std::fprintf(stderr, "[selftime] %s total: %.1f ms (%u host threads)\n", tag,
                  jobs.size() > 0 ? total_ms : 0.0, threads);
-    // Decode/compile cache statistics for the IR execution engines, when any
+    // Decode cache statistics for the threaded IR engine, when any
     // interpreter ran in this batch (process-wide, cumulative).
     const IrExecStatsSnapshot ir = SnapshotIrExecStats();
     if (ir.decode_hits + ir.decode_misses > 0) {
-      std::fprintf(stderr,
-                   "[selftime] ir-exec caches: decode %llu hits / %llu misses",
+      std::fprintf(stderr, "[selftime] ir-exec caches: decode %llu hits / %llu misses\n",
                    static_cast<unsigned long long>(ir.decode_hits),
                    static_cast<unsigned long long>(ir.decode_misses));
-      if (ir.jit_hits + ir.jit_compiles + ir.jit_noexec_fallbacks > 0) {
-        std::fprintf(stderr,
-                     "; jit %llu hits / %llu compiles (%llu bytes, %.2f ms, "
-                     "%llu noexec fallbacks)",
-                     static_cast<unsigned long long>(ir.jit_hits),
-                     static_cast<unsigned long long>(ir.jit_compiles),
-                     static_cast<unsigned long long>(ir.jit_compiled_bytes),
-                     ir.jit_compile_ns / 1e6,
-                     static_cast<unsigned long long>(ir.jit_noexec_fallbacks));
-      }
-      std::fprintf(stderr, "\n");
     }
   }
   {

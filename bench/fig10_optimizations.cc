@@ -20,7 +20,7 @@
 #include "bench/bench_util.h"
 #include "src/ir/builder.h"
 #include "src/ir/interp.h"
-#include "src/ir/passes.h"
+#include "src/ir/opt/pipeline.h"
 #include "src/policy/run.h"
 #include "src/policy/scheme_ir.h"
 
@@ -88,10 +88,10 @@ void RunIrAblation() {
     interp.AttachSgx(&rt);
 
     IrFunction fn = BuildCopyKernel(65536);
-    SgxPassOptions options;
+    CheckPassConfig options;
     options.elide_safe = config.elide;
     options.hoist_loops = config.hoist;
-    const SgxPassStats stats = RunSgxBoundsPass(fn, options);
+    const CheckPassStats stats = RunCheckPipeline(fn, SgxBoundsCheckLowering(), options);
     Cpu& cpu = enclave.main_cpu();
     interp.Run(fn, cpu);
     if (baseline == 0) {

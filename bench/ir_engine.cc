@@ -1,16 +1,18 @@
 // IR engine comparison: runs every "ir" suite workload under all policies
-// with the THREE execution engines (reference switch interpreter, pre-decoded
-// direct-threaded, template JIT), verifies the simulated results are
-// bit-identical, and reports the host-side speedups.
+// with both execution engines (reference switch interpreter, pre-decoded
+// direct-threaded), verifies the simulated results are bit-identical, and
+// reports the host-side speedup.
 //
 // Simulated output (stdout) depends only on the simulation, never on the
 // engine: the table prints cycles/memory from runs that were cross-checked
 // between engines and aborts on any divergence. Host wall-clock lives on
 // stderr (--selftime) and in BENCH_ir_engine.json (--json) - that file is
-// the committed evidence for the engines' speedups, including a "summary"
-// block with per-(workload, policy) speedup_vs_reference and geomeans.
+// the committed evidence for the threaded engine's speedup, including a
+// "summary" block with per-(workload, policy) speedup_vs_reference and
+// geomeans.
 
 #include <cmath>
+#include <iterator>
 
 #include "bench/bench_util.h"
 
@@ -70,7 +72,7 @@ int main(int argc, char** argv) {
 
   MachineSpec spec;
   PrintReproHeader("ir_engine", spec);
-  std::printf("IR execution engines: reference (switch) vs threaded (pre-decoded) vs jit (native)\n");
+  std::printf("IR execution engines: reference (switch) vs threaded (pre-decoded)\n");
   std::printf("simulated results are checked bit-identical between engines\n\n");
 
   WorkloadConfig cfg;
@@ -79,9 +81,8 @@ int main(int argc, char** argv) {
 
   const std::vector<const WorkloadInfo*> workloads =
       WorkloadRegistry::Instance().BySuite("ir");
-  const IrEngine engines[] = {IrEngine::kReference, IrEngine::kThreaded,
-                              IrEngine::kJit};
-  constexpr size_t kNumEngines = 3;
+  const IrEngine engines[] = {IrEngine::kReference, IrEngine::kThreaded};
+  constexpr size_t kNumEngines = std::size(engines);
 
   // One job per (workload, policy, engine, repeat); repeats > 1 sharpen the
   // host-time measurement without touching simulated results.
@@ -138,7 +139,7 @@ int main(int argc, char** argv) {
     std::printf("\nENGINE MISMATCH: simulated results differ between engines\n");
     return 1;
   }
-  std::printf("\nall %zu (workload, policy) pairs bit-identical across all three engines\n",
+  std::printf("\nall %zu (workload, policy) pairs bit-identical across both engines\n",
               workloads.size() * policies.size());
 
   // Host-side speedups, from the same timed rows --json writes. Stderr only:
@@ -147,7 +148,7 @@ int main(int argc, char** argv) {
   struct PairTiming {
     std::string workload;
     std::string policy;
-    double ms[kNumEngines] = {-1, -1, -1};
+    double ms[kNumEngines] = {-1, -1};
   };
   std::vector<PairTiming> pairs;
   for (const WorkloadInfo* w : workloads) {
@@ -173,44 +174,34 @@ int main(int argc, char** argv) {
   }
 
   // Summary block: per-pair host times + speedups, per-workload geomeans,
-  // and the overall geomeans - the committed evidence for the JIT tier.
+  // and the overall geomean - the committed evidence for the threaded tier.
   std::vector<double> thr_speedups;  // reference / threaded
-  std::vector<double> jit_speedups;  // reference / jit
-  std::vector<double> jit_vs_thr;    // threaded / jit
-  std::string json = "{\n    \"engines\": [\"reference\", \"threaded\", \"jit\"],\n    \"pairs\": [";
+  std::string json =
+      "{\n    \"engines\": [\"reference\", \"threaded\"],\n    \"pairs\": [";
   bool first = true;
   for (const PairTiming& pt : pairs) {
     const double r = pt.ms[0];
     const double t = pt.ms[1];
-    const double z = pt.ms[2];
-    if (r <= 0 || t <= 0 || z <= 0) {
+    if (r <= 0 || t <= 0) {
       continue;
     }
     thr_speedups.push_back(r / t);
-    jit_speedups.push_back(r / z);
-    jit_vs_thr.push_back(t / z);
     json += first ? "\n" : ",\n";
     first = false;
     json += "      {\"workload\": \"" + JsonEscape(pt.workload) +
             "\", \"policy\": \"" + JsonEscape(pt.policy) +
             "\", \"host_ms\": {\"reference\": " + FormatDouble(r) +
             ", \"threaded\": " + FormatDouble(t) +
-            ", \"jit\": " + FormatDouble(z) +
-            "}, \"speedup_vs_reference\": {\"threaded\": " + FormatDouble(r / t) +
-            ", \"jit\": " + FormatDouble(r / z) +
-            "}, \"jit_vs_threaded\": " + FormatDouble(t / z) + "}";
+            "}, \"speedup_vs_reference\": {\"threaded\": " + FormatDouble(r / t) + "}}";
   }
   json += "\n    ],\n    \"per_workload_geomean\": [";
   first = true;
   for (const WorkloadInfo* w : workloads) {
-    std::vector<double> wt, wz, wzt;
+    std::vector<double> wt;
     for (const PairTiming& pt : pairs) {
-      if (pt.workload != w->name || pt.ms[0] <= 0 || pt.ms[1] <= 0 || pt.ms[2] <= 0) {
-        continue;
+      if (pt.workload == w->name && pt.ms[0] > 0 && pt.ms[1] > 0) {
+        wt.push_back(pt.ms[0] / pt.ms[1]);
       }
-      wt.push_back(pt.ms[0] / pt.ms[1]);
-      wz.push_back(pt.ms[0] / pt.ms[2]);
-      wzt.push_back(pt.ms[1] / pt.ms[2]);
     }
     if (wt.empty()) {
       continue;
@@ -219,33 +210,15 @@ int main(int argc, char** argv) {
     first = false;
     json += "      {\"workload\": \"" + JsonEscape(w->name) +
             "\", \"speedup_vs_reference\": {\"threaded\": " + FormatDouble(Geomean(wt)) +
-            ", \"jit\": " + FormatDouble(Geomean(wz)) +
-            "}, \"jit_vs_threaded\": " + FormatDouble(Geomean(wzt)) + "}";
+            "}}";
   }
   json += "\n    ],\n    \"geomean\": {\"speedup_vs_reference\": {\"threaded\": " +
-          FormatDouble(Geomean(thr_speedups)) +
-          ", \"jit\": " + FormatDouble(Geomean(jit_speedups)) +
-          "}, \"jit_vs_threaded\": " + FormatDouble(Geomean(jit_vs_thr)) + "}\n  }";
+          FormatDouble(Geomean(thr_speedups)) + "}}\n  }";
   SetBenchJsonSummary(json);
 
   if (!thr_speedups.empty()) {
-    std::fprintf(stderr,
-                 "[ir_engine] geomean speedup vs reference: threaded %.2fx, "
-                 "jit %.2fx; jit vs threaded %.2fx\n",
-                 Geomean(thr_speedups), Geomean(jit_speedups),
-                 Geomean(jit_vs_thr));
-    for (const WorkloadInfo* w : workloads) {
-      std::vector<double> wzt;
-      for (const PairTiming& pt : pairs) {
-        if (pt.workload == w->name && pt.ms[1] > 0 && pt.ms[2] > 0) {
-          wzt.push_back(pt.ms[1] / pt.ms[2]);
-        }
-      }
-      if (!wzt.empty()) {
-        std::fprintf(stderr, "[ir_engine]   %s: jit vs threaded %.2fx\n",
-                     w->name.c_str(), Geomean(wzt));
-      }
-    }
+    std::fprintf(stderr, "[ir_engine] geomean speedup vs reference: threaded %.2fx\n",
+                 Geomean(thr_speedups));
   }
   return 0;
 }

@@ -1,6 +1,22 @@
 #include "src/common/ir_engine.h"
 
+#include "src/common/flags.h"
+
 namespace sgxb {
+
+namespace {
+
+struct IrEngineSpelling {
+  IrEngine engine;
+  const char* name;
+};
+
+constexpr IrEngineSpelling kIrEngineSpellings[] = {
+    {IrEngine::kReference, "reference"},
+    {IrEngine::kThreaded, "threaded"},
+};
+
+}  // namespace
 
 IrEngine& DefaultIrEngine() {
   static IrEngine engine = IrEngine::kThreaded;
@@ -8,33 +24,41 @@ IrEngine& DefaultIrEngine() {
 }
 
 bool ParseIrEngine(const std::string& text, IrEngine* out) {
-  if (text == "reference") {
-    *out = IrEngine::kReference;
-    return true;
-  }
-  if (text == "threaded") {
-    *out = IrEngine::kThreaded;
-    return true;
-  }
-  if (text == "jit") {
-    *out = IrEngine::kJit;
-    return true;
+  for (const IrEngineSpelling& s : kIrEngineSpellings) {
+    if (text == s.name) {
+      *out = s.engine;
+      return true;
+    }
   }
   return false;
 }
 
 const char* IrEngineName(IrEngine engine) {
-  switch (engine) {
-    case IrEngine::kDefault:
-      return "default";
-    case IrEngine::kReference:
-      return "reference";
-    case IrEngine::kThreaded:
-      return "threaded";
-    case IrEngine::kJit:
-      return "jit";
+  if (engine == IrEngine::kDefault) {
+    return "default";
+  }
+  for (const IrEngineSpelling& s : kIrEngineSpellings) {
+    if (s.engine == engine) {
+      return s.name;
+    }
   }
   return "?";
+}
+
+std::vector<std::string> IrEngineNames() {
+  std::vector<std::string> names;
+  for (const IrEngineSpelling& s : kIrEngineSpellings) {
+    names.emplace_back(s.name);
+  }
+  return names;
+}
+
+void AddIrEngineFlag(FlagParser& parser) {
+  parser.AddCallback(
+      "ir_engine",
+      [](const std::string& value) { return ParseIrEngine(value, &DefaultIrEngine()); },
+      "IR execution engine for interpreter-driven workloads",
+      IrEngineName(DefaultIrEngine()), IrEngineNames());
 }
 
 IrExecStats& GlobalIrExecStats() {

@@ -9,10 +9,6 @@
 //               differential oracle (tests compare against it);
 //   kThreaded   the pre-decoded micro-op engine with direct-threaded
 //               dispatch - same simulated results, faster host execution;
-//   kJit        the template JIT: decoded micro-op streams assembled to
-//               native x86-64 (src/ir/exec/jit/) - same simulated results
-//               again; falls back to kThreaded where executable memory is
-//               unavailable;
 //   kDefault    "whatever the process default is" (kThreaded unless
 //               --ir_engine was passed).
 
@@ -22,10 +18,13 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace sgxb {
 
-enum class IrEngine : uint8_t { kDefault = 0, kReference, kThreaded, kJit };
+class FlagParser;
+
+enum class IrEngine : uint8_t { kDefault = 0, kReference, kThreaded };
 
 // The process default used wherever kDefault is requested. Initially
 // kThreaded; mutated (once, at flag-parse time) by --ir_engine.
@@ -36,22 +35,26 @@ inline IrEngine ResolveIrEngine(IrEngine engine) {
   return engine == IrEngine::kDefault ? DefaultIrEngine() : engine;
 }
 
-// Parses "reference"/"threaded"/"jit"; returns false on anything else.
+// The engines' spellings live in one table (ir_engine.cc) that the four
+// functions below read, so --ir_engine's choice list is what it accepts.
+
+// Parses a selectable engine's name; returns false on anything else.
 bool ParseIrEngine(const std::string& text, IrEngine* out);
 
 const char* IrEngineName(IrEngine engine);
 
-// Process-wide decode/compile cache statistics, aggregated across every
-// Interpreter instance (each holds its own caches, but --selftime wants one
-// per-run summary). Atomics: bench drivers run jobs host-parallel.
+// Every selectable engine's name, in table order.
+std::vector<std::string> IrEngineNames();
+
+// Registers --ir_engine, which sets DefaultIrEngine().
+void AddIrEngineFlag(FlagParser& parser);
+
+// Process-wide decode cache statistics, aggregated across every Interpreter
+// instance (each holds its own cache, but --selftime wants one per-run
+// summary). Atomics: bench drivers run jobs host-parallel.
 struct IrExecStats {
   std::atomic<uint64_t> decode_hits{0};
   std::atomic<uint64_t> decode_misses{0};
-  std::atomic<uint64_t> jit_hits{0};
-  std::atomic<uint64_t> jit_compiles{0};
-  std::atomic<uint64_t> jit_compiled_bytes{0};
-  std::atomic<uint64_t> jit_compile_ns{0};
-  std::atomic<uint64_t> jit_noexec_fallbacks{0};
 };
 
 IrExecStats& GlobalIrExecStats();
@@ -60,11 +63,6 @@ IrExecStats& GlobalIrExecStats();
 struct IrExecStatsSnapshot {
   uint64_t decode_hits = 0;
   uint64_t decode_misses = 0;
-  uint64_t jit_hits = 0;
-  uint64_t jit_compiles = 0;
-  uint64_t jit_compiled_bytes = 0;
-  uint64_t jit_compile_ns = 0;
-  uint64_t jit_noexec_fallbacks = 0;
 };
 
 inline IrExecStatsSnapshot SnapshotIrExecStats() {
@@ -72,11 +70,6 @@ inline IrExecStatsSnapshot SnapshotIrExecStats() {
   IrExecStatsSnapshot out;
   out.decode_hits = s.decode_hits.load(std::memory_order_relaxed);
   out.decode_misses = s.decode_misses.load(std::memory_order_relaxed);
-  out.jit_hits = s.jit_hits.load(std::memory_order_relaxed);
-  out.jit_compiles = s.jit_compiles.load(std::memory_order_relaxed);
-  out.jit_compiled_bytes = s.jit_compiled_bytes.load(std::memory_order_relaxed);
-  out.jit_compile_ns = s.jit_compile_ns.load(std::memory_order_relaxed);
-  out.jit_noexec_fallbacks = s.jit_noexec_fallbacks.load(std::memory_order_relaxed);
   return out;
 }
 

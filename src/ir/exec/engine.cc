@@ -8,7 +8,6 @@
 
 #include "src/common/check.h"
 #include "src/ir/eval.h"
-#include "src/ir/exec/flush.h"
 #include "src/ir/exec/uop.h"
 #include "src/ir/interp.h"
 
@@ -19,6 +18,31 @@
 #endif
 
 namespace sgxb {
+
+namespace {
+
+// Charges the batched pure-compute counts (see RunDecoded) to the Cpu, in
+// chunks that fit its 32-bit Alu/Branch counts.
+inline void FlushPending(Cpu& cpu, uint64_t& pend_alu, uint64_t& pend_branch,
+                         uint64_t& pend_call) {
+  while (pend_alu > 0) {
+    const uint32_t n =
+        pend_alu > 0x40000000 ? 0x40000000u : static_cast<uint32_t>(pend_alu);
+    cpu.Alu(n);
+    pend_alu -= n;
+  }
+  while (pend_branch > 0) {
+    const uint32_t n =
+        pend_branch > 0x40000000 ? 0x40000000u : static_cast<uint32_t>(pend_branch);
+    cpu.Branch(n);
+    pend_branch -= n;
+  }
+  for (; pend_call > 0; --pend_call) {
+    cpu.Call();
+  }
+}
+
+}  // namespace
 
 uint64_t Interpreter::RunDecoded(const DecodedFunction& df, Cpu& cpu,
                                  const std::vector<uint64_t>& args, uint64_t max_steps) {

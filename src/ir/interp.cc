@@ -1,10 +1,7 @@
 #include "src/ir/interp.h"
 
-#include <cstdio>
-
 #include "src/common/check.h"
 #include "src/ir/eval.h"
-#include "src/ir/exec/jit/code_buffer.h"
 
 namespace sgxb {
 
@@ -18,28 +15,7 @@ uint64_t Interpreter::Run(const IrFunction& fn, Cpu& cpu, const std::vector<uint
     return RunReference(fn, cpu, args, max_steps);
   }
   const DecodeOptions opts{/*track_mpx=*/mpx_ != nullptr, /*fuse=*/true};
-  const DecodedFunction& df = cache_.Get(fn, opts);
-  if (engine == IrEngine::kJit) {
-    const jit::JitProgram* jp =
-        jit::JitExecutableAvailable() ? jit_cache_.Get(fn, df, opts) : nullptr;
-    if (jp != nullptr) {
-      return RunJit(*jp, cpu, args, max_steps);
-    }
-    // JIT unavailable (non-x86-64 host, sandbox denying PROT_EXEC,
-    // SGXB_IR_FORCE_NOEXEC, mmap failure): degrade to the threaded engine -
-    // identical simulated results, slower host execution. Warn once per
-    // process, not per call.
-    GlobalIrExecStats().jit_noexec_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    static const bool warned = [] {
-      std::fprintf(stderr,
-                   "[ir_engine] warning: jit requested but unavailable on this "
-                   "host (non-x86-64 or executable memory denied); falling "
-                   "back to the threaded engine\n");
-      return true;
-    }();
-    (void)warned;
-  }
-  return RunDecoded(df, cpu, args, max_steps);
+  return RunDecoded(cache_.Get(fn, opts), cpu, args, max_steps);
 }
 
 uint64_t Interpreter::RunReference(const IrFunction& fn, Cpu& cpu,

@@ -10,17 +10,13 @@
 // program holds tagged pointers (the pass rewrites allocations, masks
 // arithmetic, and inserts checks).
 //
-// Three execution engines produce bit-identical simulated results:
+// Two execution engines produce bit-identical simulated results:
 //
 //   * reference - the original per-instruction switch over IrInstr vectors
 //     (RunReference); kept as the differential-testing oracle;
 //   * threaded  - functions are pre-decoded once into a flat micro-op stream
 //     (src/ir/exec/) and executed with direct-threaded dispatch; decoded
-//     programs are cached per (function, instrumentation) pair;
-//   * jit       - decoded streams are template-compiled to native x86-64
-//     (src/ir/exec/jit/) and cached under the same key; where executable
-//     memory is unavailable, jit falls back to threaded with a one-time
-//     warning (SGXB_IR_FORCE_NOEXEC forces that path).
+//     programs are cached per (function, instrumentation) pair.
 //
 // Run() routes according to set_engine(); the default follows the process
 // default (--ir_engine flag; threaded unless overridden).
@@ -33,7 +29,6 @@
 #include "src/asan/asan_runtime.h"
 #include "src/common/ir_engine.h"
 #include "src/ir/exec/decode_cache.h"
-#include "src/ir/exec/jit/jit_cache.h"
 #include "src/ir/ir.h"
 #include "src/ir/scheme_rt.h"
 #include "src/mpx/mpx_runtime.h"
@@ -59,7 +54,7 @@ class Interpreter {
   void AttachAsan(AsanRuntime* rt) { asan_ = rt; }
   void AttachMpx(MpxRuntime* rt) { mpx_ = rt; }
   // Generic hook for registry-plugged schemes (kSchemeCheck/"scheme" opcodes
-  // emitted by RunSchemePass).
+  // emitted by RunCheckPipeline under TaggedSchemeCheckLowering).
   void AttachScheme(IrSchemeRuntime* rt) { scheme_ = rt; }
 
   // Selects the execution engine for subsequent Run() calls. kDefault
@@ -80,15 +75,11 @@ class Interpreter {
 
   const InterpStats& stats() const { return stats_; }
   const DecodeCache& decode_cache() const { return cache_; }
-  const JitCache& jit_cache() const { return jit_cache_; }
 
  private:
   // Direct-threaded execution of a decoded program (src/ir/exec/engine.cc).
   uint64_t RunDecoded(const DecodedFunction& df, Cpu& cpu,
                       const std::vector<uint64_t>& args, uint64_t max_steps);
-  // Native execution of a compiled program (src/ir/exec/jit/jit_engine.cc).
-  uint64_t RunJit(const jit::JitProgram& jp, Cpu& cpu,
-                  const std::vector<uint64_t>& args, uint64_t max_steps);
 
   Enclave* enclave_;
   Heap* heap_;
@@ -100,7 +91,6 @@ class Interpreter {
   InterpStats stats_;
   IrEngine engine_ = IrEngine::kDefault;
   DecodeCache cache_;
-  JitCache jit_cache_;
 
   // Scratch buffers reused across Run() calls (sized to fn.num_values each
   // call; capacity persists so steady-state runs allocate nothing). The MPX

@@ -12,9 +12,10 @@
 //   * memory: alloca (stack), malloc/free (heap), typed load/store, gep;
 //   * instrumentation opcodes that passes insert (checks, masks, bndldx/stx).
 //
-// Programs are built with IrBuilder, optionally transformed by the passes in
-// passes.h, and executed by the Interpreter in interp.h, which charges every
-// instruction and memory access into the cycle simulator.
+// Programs are built with IrBuilder, optionally instrumented by
+// RunCheckPipeline (opt/pipeline.h), and executed by the Interpreter in
+// interp.h, which charges every instruction and memory access into the cycle
+// simulator.
 
 #ifndef SGXBOUNDS_SRC_IR_IR_H_
 #define SGXBOUNDS_SRC_IR_IR_H_
@@ -60,7 +61,7 @@ enum class IrOp : uint8_t {
   kGep,     // args: base, index; imm = scale, imm2 = byte offset
   kLoad,    // args: ptr; type = loaded type
   kStore,   // args: value, ptr; type = stored type
-  // Instrumentation (inserted by passes; see passes.h).
+  // Instrumentation (inserted by RunCheckPipeline; see opt/pipeline.h).
   kSgxCheck,       // args: ptr; imm = access size  (full LB+UB check)
   kSgxCheckUpper,  // args: ptr; imm = access size  (UB-only, LB hoisted)
   kSgxCheckRange,  // args: ptr, extent-in-bytes    (hoisted loop check)
@@ -70,7 +71,7 @@ enum class IrOp : uint8_t {
   kMpxLdx,         // args: loaded-ptr, slot-ptr   (attach bounds to value)
   kMpxStx,         // args: stored-ptr, slot-ptr   (write bounds table entry)
   // Generic registry-scheme instrumentation: dispatched to the attached
-  // IrSchemeRuntime (Interpreter::AttachScheme). Emitted by RunSchemePass
+  // IrSchemeRuntime (Interpreter::AttachScheme). Emitted by RunCheckPipeline
   // for schemes plugged in via src/policy/<scheme>/ (e.g. l4ptr); the four
   // paper schemes keep their dedicated opcodes above.
   kSchemeCheck,       // args: ptr; imm = access size, imm2 = is-write

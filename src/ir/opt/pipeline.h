@@ -22,10 +22,9 @@
 //   6. redundant-check elimination (post-pass: a check dominated by an
 //      equal-or-wider check on the same SSA pointer is deleted)
 //
-// With every optional pass disabled the pipeline reproduces the historical
-// RunSgxBoundsPass/RunAsanPass/RunMpxPass output byte for byte, including
-// value-numbering order (guarded by trace_golden_test and the fig07/fig10
-// stdout goldens in CI).
+// With every optional pass disabled, the SGXBounds/ASan/MPX output is pinned
+// byte for byte, including value-numbering order, by trace_golden_test and
+// the fig07/fig10 stdout goldens in CI.
 
 #ifndef SGXBOUNDS_SRC_IR_OPT_PIPELINE_H_
 #define SGXBOUNDS_SRC_IR_OPT_PIPELINE_H_

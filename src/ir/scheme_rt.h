@@ -3,10 +3,11 @@
 // The four paper schemes have dedicated opcodes and runtime pointers in the
 // interpreter (kSgxCheck/kAsanCheck/kMpxCheck); a plugged-in scheme instead
 // lowers through the generic kSchemeCheck/kSchemeCheckRange opcodes and the
-// "scheme" allocation symbol (RunSchemePass, passes.h), which the reference
-// interpreter and the threaded engine both dispatch to this interface
-// (Interpreter::AttachScheme). Implementations charge their own simulated
-// costs and throw SimTrap on violations, exactly like the built-in runtimes.
+// "scheme" allocation symbol (TaggedSchemeCheckLowering, opt/pipeline.h),
+// which the reference interpreter and the threaded engine both dispatch to
+// this interface (Interpreter::AttachScheme). Implementations charge their
+// own simulated costs and throw SimTrap on violations, exactly like the
+// built-in runtimes.
 
 #ifndef SGXBOUNDS_SRC_IR_SCHEME_RT_H_
 #define SGXBOUNDS_SRC_IR_SCHEME_RT_H_

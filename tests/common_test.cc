@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "src/common/flags.h"
+#include "src/common/ir_engine.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
@@ -177,6 +178,28 @@ TEST(FlagsTest, ParsesTypedFlags) {
   EXPECT_EQ(name, "fig7");
   ASSERT_EQ(positional.size(), 1u);
   EXPECT_EQ(positional[0], "pos");
+}
+
+TEST(FlagsTest, IrEngineNamesRoundTrip) {
+  const std::vector<std::string> names = IrEngineNames();
+  EXPECT_EQ(names, (std::vector<std::string>{"reference", "threaded"}));
+  for (const std::string& name : names) {
+    IrEngine engine = IrEngine::kDefault;
+    ASSERT_TRUE(ParseIrEngine(name, &engine)) << name;
+    EXPECT_EQ(IrEngineName(engine), name);
+  }
+  IrEngine engine = IrEngine::kThreaded;
+  EXPECT_FALSE(ParseIrEngine("jit", &engine));
+  EXPECT_FALSE(ParseIrEngine("", &engine));
+  EXPECT_EQ(engine, IrEngine::kThreaded);
+}
+
+TEST(FlagsTest, IrEngineFlagRejectsUnknownEngine) {
+  FlagParser parser;
+  AddIrEngineFlag(parser);
+  const char* argv[] = {"prog", "--ir_engine=jit"};
+  EXPECT_EXIT(parser.Parse(2, const_cast<char**>(argv)), ::testing::ExitedWithCode(2),
+              "invalid value 'jit' for flag --ir_engine \\(valid: reference.threaded\\)");
 }
 
 TEST(LatencyHistogramTest, EmptyAndExactZeroBucket) {

@@ -12,7 +12,7 @@
 #include "src/ir/builder.h"
 #include "src/ir/exec/decoder.h"
 #include "src/ir/interp.h"
-#include "src/ir/passes.h"
+#include "src/ir/opt/pipeline.h"
 
 namespace sgxb {
 namespace {
@@ -103,12 +103,10 @@ TEST(IrExec, PhiSwapCycleMatchesReference) {
   ASSERT_EQ(fn.Verify(), "");
   const Outcome ref = RunOn(IrEngine::kReference, fn);
   EXPECT_EQ(ref.result, 12u);
-  for (const IrEngine engine : {IrEngine::kThreaded, IrEngine::kJit}) {
-    const Outcome out = RunOn(engine, fn);
-    EXPECT_EQ(out.result, 12u);
-    EXPECT_EQ(ref.steps, out.steps);
-    EXPECT_TRUE(ref.counters == out.counters);
-  }
+  const Outcome out = RunOn(IrEngine::kThreaded, fn);
+  EXPECT_EQ(out.result, 12u);
+  EXPECT_EQ(ref.steps, out.steps);
+  EXPECT_TRUE(ref.counters == out.counters);
 
   // The back edge's parallel copy is a cycle: the decoder must have parked
   // one destination in a temporary and routed the stub through a free jump.
@@ -127,8 +125,7 @@ TEST(IrExec, ArgReadsZeroOutOfRange) {
   const ValueId oob = b.Arg(3);
   b.Ret(b.Add(b.Mul(in_range, b.Const(100)), oob));
   const IrFunction fn = b.Finish();
-  for (const IrEngine engine :
-       {IrEngine::kReference, IrEngine::kThreaded, IrEngine::kJit}) {
+  for (const IrEngine engine : {IrEngine::kReference, IrEngine::kThreaded}) {
     const Outcome out = RunOn(engine, fn, {7});
     EXPECT_FALSE(out.trapped);
     EXPECT_EQ(out.result, 700u);  // oob argument reads as 0
@@ -141,8 +138,7 @@ TEST(IrExec, DivRemByZeroYieldZero) {
   const ValueId z = b.Arg(0);  // runtime zero: no const folding
   b.Ret(b.Add(b.Bin(IrOp::kUDiv, x, z), b.Bin(IrOp::kURem, x, z)));
   const IrFunction fn = b.Finish();
-  for (const IrEngine engine :
-       {IrEngine::kReference, IrEngine::kThreaded, IrEngine::kJit}) {
+  for (const IrEngine engine : {IrEngine::kReference, IrEngine::kThreaded}) {
     const Outcome out = RunOn(engine, fn, {0});
     EXPECT_FALSE(out.trapped);
     EXPECT_EQ(out.result, 0u);
@@ -170,7 +166,7 @@ IrFunction BuildFusedKernel(uint32_t n) {
 
 TEST(IrExec, StepLimitTrapsIdenticallyIncludingMidFusedOp) {
   IrFunction fn = BuildFusedKernel(16);
-  RunSgxBoundsPass(fn, SgxPassOptions{});
+  RunCheckPipeline(fn, SgxBoundsCheckLowering(), CheckPassConfig{});
   const Outcome full = RunOn(IrEngine::kReference, fn);
   ASSERT_FALSE(full.trapped);
   // Sweep limits across several loop iterations' worth of steps: every
@@ -180,17 +176,11 @@ TEST(IrExec, StepLimitTrapsIdenticallyIncludingMidFusedOp) {
   for (uint64_t limit = full.steps - 40; limit <= full.steps; ++limit) {
     const Outcome ref = RunOn(IrEngine::kReference, fn, {}, limit);
     EXPECT_EQ(ref.trapped, limit < full.steps) << "limit " << limit;
-    for (const IrEngine engine : {IrEngine::kThreaded, IrEngine::kJit}) {
-      const Outcome out = RunOn(engine, fn, {}, limit);
-      EXPECT_EQ(ref.trapped, out.trapped)
-          << "limit " << limit << " engine " << IrEngineName(engine);
-      EXPECT_EQ(ref.steps, out.steps)
-          << "limit " << limit << " engine " << IrEngineName(engine);
-      EXPECT_EQ(ref.result, out.result)
-          << "limit " << limit << " engine " << IrEngineName(engine);
-      EXPECT_TRUE(ref.counters == out.counters)
-          << "limit " << limit << " engine " << IrEngineName(engine);
-    }
+    const Outcome out = RunOn(IrEngine::kThreaded, fn, {}, limit);
+    EXPECT_EQ(ref.trapped, out.trapped) << "limit " << limit;
+    EXPECT_EQ(ref.steps, out.steps) << "limit " << limit;
+    EXPECT_EQ(ref.result, out.result) << "limit " << limit;
+    EXPECT_TRUE(ref.counters == out.counters) << "limit " << limit;
   }
 }
 
@@ -231,13 +221,14 @@ TEST(IrExec, DecoderFusesInstrumentationPatterns) {
   // the preheader, leaving gep+maskptr+access triples in the body.
   {
     IrFunction hardened = BuildFusedKernel(8);
-    RunSgxBoundsPass(hardened, SgxPassOptions{});
+    RunCheckPipeline(hardened, SgxBoundsCheckLowering(), CheckPassConfig{});
     const DecodedFunction df = DecodeFunction(hardened, DecodeOptions{});
     EXPECT_GT(df.CountUOp(UOp::kGepMaskLoad) + df.CountUOp(UOp::kGepMaskStore), 0u);
   }
   // With hoisting and elision off, every access keeps its check and the full
   // gep+maskptr+check+access quad fuses.
-  RunSgxBoundsPass(fn, SgxPassOptions{/*elide_safe=*/false, /*hoist_loops=*/false});
+  RunCheckPipeline(fn, SgxBoundsCheckLowering(),
+                   CheckPassConfig{/*elide_safe=*/false, /*hoist_loops=*/false});
   {
     const DecodedFunction df = DecodeFunction(fn, DecodeOptions{});
     const size_t gep_fused = df.CountUOp(UOp::kGepMaskSgxCheckLoad) +

@@ -13,7 +13,7 @@
 #include "src/common/rng.h"
 #include "src/ir/builder.h"
 #include "src/ir/interp.h"
-#include "src/ir/passes.h"
+#include "src/ir/opt/pipeline.h"
 
 namespace sgxb {
 namespace {
@@ -106,10 +106,10 @@ TEST_P(IrFuzz, PassesPreserveSemanticsOnSafePrograms) {
       for (const bool hoist : {false, true}) {
         FuzzRig inner;
         IrFunction hardened = GenerateProgram(seed, false);
-        SgxPassOptions options;
+        CheckPassConfig options;
         options.elide_safe = elide;
         options.hoist_loops = hoist;
-        RunSgxBoundsPass(hardened, options);
+        RunCheckPipeline(hardened, SgxBoundsCheckLowering(), options);
         EXPECT_EQ(inner.interp->Run(hardened, inner.enclave->main_cpu()), reference)
             << "seed " << seed << " elide " << elide << " hoist " << hoist;
         EXPECT_EQ(inner.sgx->stats().violations, 0u);
@@ -119,14 +119,14 @@ TEST_P(IrFuzz, PassesPreserveSemanticsOnSafePrograms) {
   {
     FuzzRig rig;
     IrFunction hardened = GenerateProgram(seed, false);
-    RunAsanPass(hardened);
+    RunCheckPipeline(hardened, AsanCheckLowering(), CheckPassConfig{});
     EXPECT_EQ(rig.interp->Run(hardened, rig.enclave->main_cpu()), reference);
     EXPECT_EQ(rig.asan->stats().reports, 0u);
   }
   {
     FuzzRig rig;
     IrFunction hardened = GenerateProgram(seed, false);
-    RunMpxPass(hardened);
+    RunCheckPipeline(hardened, MpxCheckLowering(), CheckPassConfig{});
     EXPECT_EQ(rig.interp->Run(hardened, rig.enclave->main_cpu()), reference);
     EXPECT_EQ(rig.mpx->stats().violations, 0u);
   }
@@ -144,10 +144,10 @@ TEST_P(IrFuzz, SgxPassTrapsOnOverflowingVariant) {
   for (const bool opts : {false, true}) {
     FuzzRig rig;
     IrFunction fn = GenerateProgram(seed, true);
-    SgxPassOptions options;
+    CheckPassConfig options;
     options.elide_safe = opts;
     options.hoist_loops = opts;
-    RunSgxBoundsPass(fn, options);
+    RunCheckPipeline(fn, SgxBoundsCheckLowering(), options);
     EXPECT_THROW(rig.interp->Run(fn, rig.enclave->main_cpu()), SimTrap)
         << "seed " << seed << " opts " << opts;
   }
@@ -156,8 +156,8 @@ TEST_P(IrFuzz, SgxPassTrapsOnOverflowingVariant) {
 // --- engine differential coverage ----------------------------------------------
 //
 // Every random program - safe and overflowing, under every instrumentation
-// pass - must behave identically on the reference, threaded, and jit
-// engines: same return value or same trap, same interpreter stats, and
+// pass - must behave identically on the reference and threaded engines:
+// same return value or same trap, same interpreter stats, and
 // bit-identical PerfCounters (the engines' definition of "same simulation").
 
 enum class Hardening { kNone, kSgx, kSgxOpt, kAsan, kMpx };
@@ -179,20 +179,17 @@ EngineOutcome RunUnderEngine(IrEngine engine, uint64_t seed, bool overflow,
     case Hardening::kNone:
       break;
     case Hardening::kSgx:
-      RunSgxBoundsPass(fn, SgxPassOptions{});
+      RunCheckPipeline(fn, SgxBoundsCheckLowering(),
+                       CheckPassConfig{/*elide_safe=*/false, /*hoist_loops=*/false});
       break;
-    case Hardening::kSgxOpt: {
-      SgxPassOptions options;
-      options.elide_safe = true;
-      options.hoist_loops = true;
-      RunSgxBoundsPass(fn, options);
+    case Hardening::kSgxOpt:
+      RunCheckPipeline(fn, SgxBoundsCheckLowering(), CheckPassConfig{});
       break;
-    }
     case Hardening::kAsan:
-      RunAsanPass(fn);
+      RunCheckPipeline(fn, AsanCheckLowering(), CheckPassConfig{});
       break;
     case Hardening::kMpx:
-      RunMpxPass(fn);
+      RunCheckPipeline(fn, MpxCheckLowering(), CheckPassConfig{});
       break;
   }
   EngineOutcome out;
@@ -215,22 +212,19 @@ TEST_P(IrFuzz, EnginesAgreeOnEveryProgram) {
                                       Hardening::kMpx}) {
       const EngineOutcome ref =
           RunUnderEngine(IrEngine::kReference, seed, overflow, hardening);
-      for (const IrEngine other : {IrEngine::kThreaded, IrEngine::kJit}) {
-        const EngineOutcome out =
-            RunUnderEngine(other, seed, overflow, hardening);
-        const std::string what = "seed " + std::to_string(seed) + " overflow " +
-                                 std::to_string(overflow) + " hardening " +
-                                 std::to_string(static_cast<int>(hardening)) +
-                                 " engine " + IrEngineName(other);
-        EXPECT_EQ(ref.trapped, out.trapped) << what;
-        EXPECT_EQ(ref.trap_detail, out.trap_detail) << what;
-        EXPECT_EQ(ref.result, out.result) << what;
-        EXPECT_TRUE(ref.counters == out.counters) << what;
-        EXPECT_EQ(ref.stats.steps, out.stats.steps) << what;
-        EXPECT_EQ(ref.stats.loads, out.stats.loads) << what;
-        EXPECT_EQ(ref.stats.stores, out.stats.stores) << what;
-        EXPECT_EQ(ref.stats.checks, out.stats.checks) << what;
-      }
+      const EngineOutcome out =
+          RunUnderEngine(IrEngine::kThreaded, seed, overflow, hardening);
+      const std::string what = "seed " + std::to_string(seed) + " overflow " +
+                               std::to_string(overflow) + " hardening " +
+                               std::to_string(static_cast<int>(hardening));
+      EXPECT_EQ(ref.trapped, out.trapped) << what;
+      EXPECT_EQ(ref.trap_detail, out.trap_detail) << what;
+      EXPECT_EQ(ref.result, out.result) << what;
+      EXPECT_TRUE(ref.counters == out.counters) << what;
+      EXPECT_EQ(ref.stats.steps, out.stats.steps) << what;
+      EXPECT_EQ(ref.stats.loads, out.stats.loads) << what;
+      EXPECT_EQ(ref.stats.stores, out.stats.stores) << what;
+      EXPECT_EQ(ref.stats.checks, out.stats.checks) << what;
     }
   }
 }

@@ -8,7 +8,7 @@
 
 #include "src/ir/builder.h"
 #include "src/ir/interp.h"
-#include "src/ir/passes.h"
+#include "src/ir/opt/pipeline.h"
 
 namespace sgxb {
 namespace {
@@ -128,19 +128,19 @@ TEST_F(IrFixture, SgxPassPreservesSemantics) {
   IrFunction fn = BuildSumKernel(64);
   const uint64_t plain = Run(fn);
   IrFunction hardened = BuildSumKernel(64);
-  RunSgxBoundsPass(hardened);
+  RunCheckPipeline(hardened, SgxBoundsCheckLowering(), CheckPassConfig{});
   EXPECT_EQ(Run(hardened), plain);
 }
 
 TEST_F(IrFixture, AsanPassPreservesSemantics) {
   IrFunction hardened = BuildSumKernel(64);
-  RunAsanPass(hardened);
+  RunCheckPipeline(hardened, AsanCheckLowering(), CheckPassConfig{});
   EXPECT_EQ(Run(hardened), 63u);
 }
 
 TEST_F(IrFixture, MpxPassPreservesSemantics) {
   IrFunction hardened = BuildSumKernel(64);
-  RunMpxPass(hardened);
+  RunCheckPipeline(hardened, MpxCheckLowering(), CheckPassConfig{});
   EXPECT_EQ(Run(hardened), 63u);
 }
 
@@ -165,9 +165,9 @@ TEST_F(IrFixture, SgxPassCatchesOverflow) {
   // with hoisting off, the per-access check fires at i == 8. Both trap.
   for (bool hoist : {true, false}) {
     IrFunction fn = BuildOverflowKernel(8, 9);
-    SgxPassOptions options;
+    CheckPassConfig options;
     options.hoist_loops = hoist;
-    RunSgxBoundsPass(fn, options);
+    RunCheckPipeline(fn, SgxBoundsCheckLowering(), options);
     try {
       Run(fn);
       FAIL() << "hoist=" << hoist;
@@ -179,7 +179,7 @@ TEST_F(IrFixture, SgxPassCatchesOverflow) {
 
 TEST_F(IrFixture, AsanPassCatchesOverflow) {
   IrFunction fn = BuildOverflowKernel(8, 9);
-  RunAsanPass(fn);
+  RunCheckPipeline(fn, AsanCheckLowering(), CheckPassConfig{});
   try {
     Run(fn);
     FAIL();
@@ -190,7 +190,7 @@ TEST_F(IrFixture, AsanPassCatchesOverflow) {
 
 TEST_F(IrFixture, MpxPassCatchesOverflow) {
   IrFunction fn = BuildOverflowKernel(8, 9);
-  RunMpxPass(fn);
+  RunCheckPipeline(fn, MpxCheckLowering(), CheckPassConfig{});
   try {
     Run(fn);
     FAIL();
@@ -220,7 +220,7 @@ TEST_F(IrFixture, SafeAccessAnalysisProvesConstantAccesses) {
   b.Store(IrType::kI64, b.Const(1), p2);  // a[7]: last slot, safe
   b.Ret();
   IrFunction fn = b.Finish();
-  SgxPassStats stats = RunSgxBoundsPass(fn);
+  CheckPassStats stats = RunCheckPipeline(fn, SgxBoundsCheckLowering(), CheckPassConfig{});
   EXPECT_EQ(stats.checks_elided_safe, 2u);
   EXPECT_EQ(stats.checks_inserted, 0u);
 }
@@ -233,7 +233,7 @@ TEST_F(IrFixture, UnsafeConstantAccessStillChecked) {
   b.Store(IrType::kI64, b.Const(1), p);
   b.Ret();
   IrFunction fn = b.Finish();
-  SgxPassStats stats = RunSgxBoundsPass(fn);
+  CheckPassStats stats = RunCheckPipeline(fn, SgxBoundsCheckLowering(), CheckPassConfig{});
   EXPECT_EQ(stats.checks_elided_safe, 0u);
   EXPECT_EQ(stats.checks_inserted, 1u);
   EXPECT_THROW(Run(fn), SimTrap);
@@ -241,9 +241,9 @@ TEST_F(IrFixture, UnsafeConstantAccessStillChecked) {
 
 TEST_F(IrFixture, HoistingMovesChecksOutOfLoop) {
   IrFunction fn = BuildSumKernel(128);
-  SgxPassOptions options;
+  CheckPassConfig options;
   options.elide_safe = false;
-  SgxPassStats stats = RunSgxBoundsPass(fn, options);
+  CheckPassStats stats = RunCheckPipeline(fn, SgxBoundsCheckLowering(), options);
   // The two loop-body accesses hoist; range checks appear in preheaders.
   EXPECT_GE(stats.checks_hoisted, 2u);
   EXPECT_GE(fn.CountOp(IrOp::kSgxCheckRange), 2u);
@@ -259,7 +259,7 @@ TEST_F(IrFixture, HoistingRespectsStrideLimit) {
   b.EndLoop(loop);
   b.Ret();
   IrFunction fn = b.Finish();
-  SgxPassStats stats = RunSgxBoundsPass(fn);
+  CheckPassStats stats = RunCheckPipeline(fn, SgxBoundsCheckLowering(), CheckPassConfig{});
   EXPECT_EQ(stats.checks_hoisted, 0u);
   EXPECT_EQ(stats.checks_inserted, 1u);
 }
@@ -267,13 +267,13 @@ TEST_F(IrFixture, HoistingRespectsStrideLimit) {
 TEST_F(IrFixture, HoistingReducesCycles) {
   IrFunction slow_fn = BuildSumKernel(4096);
   IrFunction fast_fn = BuildSumKernel(4096);
-  SgxPassOptions no_opt;
+  CheckPassConfig no_opt;
   no_opt.elide_safe = false;
   no_opt.hoist_loops = false;
-  SgxPassOptions all_opt;
+  CheckPassConfig all_opt;
   all_opt.elide_safe = false;
-  RunSgxBoundsPass(slow_fn, no_opt);
-  RunSgxBoundsPass(fast_fn, all_opt);
+  RunCheckPipeline(slow_fn, SgxBoundsCheckLowering(), no_opt);
+  RunCheckPipeline(fast_fn, SgxBoundsCheckLowering(), all_opt);
   Cpu* cpu_slow = enclave->NewCpu();
   Cpu* cpu_fast = enclave->NewCpu();
   interp->Run(slow_fn, *cpu_slow);
@@ -293,7 +293,7 @@ TEST_F(IrFixture, MaskedGepCannotCorruptTag) {
   b.Store(IrType::kI8, b.Const(1), p);
   b.Ret();
   IrFunction fn = b.Finish();
-  RunSgxBoundsPass(fn);
+  RunCheckPipeline(fn, SgxBoundsCheckLowering(), CheckPassConfig{});
   EXPECT_GE(fn.CountOp(IrOp::kMaskPtr), 1u);
   EXPECT_THROW(Run(fn), SimTrap);
 }
@@ -308,7 +308,7 @@ TEST_F(IrFixture, MpxPassInstrumentsPointerTraffic) {
   b.Store(IrType::kI8, b.Const(1), q);
   b.Ret();
   IrFunction fn = b.Finish();
-  BaselinePassStats stats = RunMpxPass(fn);
+  CheckPassStats stats = RunCheckPipeline(fn, MpxCheckLowering(), CheckPassConfig{});
   EXPECT_EQ(stats.ptr_stores_instrumented, 1u);
   EXPECT_EQ(stats.ptr_loads_instrumented, 1u);
   EXPECT_NO_THROW(Run(fn));
@@ -328,7 +328,7 @@ TEST_F(IrFixture, MpxBoundsSurviveTableRoundTrip) {
   b.Store(IrType::kI8, b.Const(1), oob);
   b.Ret();
   IrFunction fn = b.Finish();
-  RunMpxPass(fn);
+  RunCheckPipeline(fn, MpxCheckLowering(), CheckPassConfig{});
   EXPECT_THROW(Run(fn), SimTrap);
 }
 
@@ -361,11 +361,11 @@ IrFunction BuildPhiPointerKernel(uint32_t idx) {
 TEST_F(IrFixture, MpxBoundsPropagateThroughPhiAndGep) {
   for (uint64_t take_a : {0u, 1u}) {
     IrFunction ok = BuildPhiPointerKernel(7);  // last valid element
-    RunMpxPass(ok);
+    RunCheckPipeline(ok, MpxCheckLowering(), CheckPassConfig{});
     EXPECT_EQ(Run(ok, {take_a}), 1u) << "take_a=" << take_a;
 
     IrFunction oob = BuildPhiPointerKernel(8);  // one past the end
-    RunMpxPass(oob);
+    RunCheckPipeline(oob, MpxCheckLowering(), CheckPassConfig{});
     try {
       Run(oob, {take_a});
       FAIL() << "take_a=" << take_a;
@@ -423,11 +423,11 @@ TEST_F(IrFixture, InstrumentationBlowupOrdering) {
   };
   IrFunction sgx_fn = build();
   IrFunction mpx_fn = build();
-  SgxPassOptions no_opt;
+  CheckPassConfig no_opt;
   no_opt.elide_safe = false;
   no_opt.hoist_loops = false;
-  RunSgxBoundsPass(sgx_fn, no_opt);
-  RunMpxPass(mpx_fn);
+  RunCheckPipeline(sgx_fn, SgxBoundsCheckLowering(), no_opt);
+  RunCheckPipeline(mpx_fn, MpxCheckLowering(), CheckPassConfig{});
   Cpu* cpu_sgx = enclave->NewCpu();
   Cpu* cpu_mpx = enclave->NewCpu();
   interp->Run(sgx_fn, *cpu_sgx);
