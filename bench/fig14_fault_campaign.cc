@@ -39,8 +39,8 @@ struct CellRun {
   int fault_class = kClassNone;
   uint32_t campaign = 0;
   int plan_index = -1;  // into the plans vector; -1 = no faults
-  RunResult run;
-  OracleKvResult kv;
+  RunResult run{};
+  OracleKvResult kv{};
 };
 
 Outcome Classify(const CellRun& cell) {

@@ -11,6 +11,7 @@
 // Everything simulated is deterministic: --bench_threads changes only host
 // wall-clock, never a result byte. --selfcheck re-runs a small fleet at 1
 // and N host threads and fails on any digest mismatch (the CI gate).
+// --selftime prints each run's phase-A and phase-B host seconds to stderr.
 
 #include <cinttypes>
 #include <cstdio>
@@ -399,6 +400,13 @@ int Main(int argc, char** argv) {
           std::fprintf(stderr, "[farm] %s/%s shards=%" PRIu64 " load=%" PRIu64 "...\n",
                        FarmAppName(app), PolicyName(policy), shards, load);
           const FarmResult r = RunFarm(cfg);
+          if (SelftimeFlag()) {
+            std::fprintf(stderr,
+                         "[selftime] %s/%s shards=%" PRIu64 " load=%" PRIu64
+                         ": phase A %.4f s, phase B %.4f s\n",
+                         FarmAppName(app), PolicyName(policy), shards, load,
+                         r.host_phase_a_s, r.host_phase_b_s);
+          }
           const double trans_pct =
               r.totals.cycles == 0
                   ? 0.0

@@ -16,7 +16,8 @@
 // Everything simulated is deterministic: --bench_threads changes only host
 // wall-clock, never a result byte. --selfcheck re-runs a small faulted fleet
 // under every recovery mode at 1/4/16 host threads and fails on any digest
-// mismatch (the CI gate). --json writes BENCH_resilience.json.
+// mismatch (the CI gate). --json writes BENCH_resilience.json. --selftime
+// prints each run's phase-A and phase-B host seconds to stderr.
 
 #include <algorithm>
 #include <cinttypes>
@@ -299,6 +300,12 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "[resilience] faults=%" PRIu64 " recovery=%s...\n", rate,
                    RecoveryModeName(mode));
       const FarmResult r = RunFarm(cfg);
+      if (SelftimeFlag()) {
+        std::fprintf(stderr,
+                     "[selftime] faults=%" PRIu64 " recovery=%s: phase A %.4f s, "
+                     "phase B %.4f s\n",
+                     rate, RecoveryModeName(mode), r.host_phase_a_s, r.host_phase_b_s);
+      }
       const ResilienceReport& rr = r.resilience;
       if (rate == 0) {
         base_goodput[static_cast<size_t>(mode)] = rr.goodput_rps;

@@ -51,8 +51,8 @@ class FlagParser {
     void* target;
     std::string help;
     std::string default_value;
-    std::function<bool(const std::string&)> parse;
-    std::vector<std::string> choices;
+    std::function<bool(const std::string&)> parse{};
+    std::vector<std::string> choices{};
   };
 
   const Flag* Find(const std::string& name) const;

@@ -34,22 +34,48 @@ double RunningStat::stddev() const {
   return std::sqrt(m2_ / static_cast<double>(count_ - 1));
 }
 
+namespace {
+
+// Upper edges gamma^b of the histogram's buckets, as std::pow computes them,
+// up to the first edge past UINT64_MAX, plus first[e] = the smallest b with
+// gamma^b >= 2^e, so a value's candidates are the ~18 edges of its octave.
+struct BucketEdges {
+  std::vector<double> pow;
+  uint32_t first[65] = {};
+
+  BucketEdges() {
+    const double top = std::ldexp(1.0, 64);
+    for (uint32_t b = 0; pow.empty() || pow.back() < top; ++b) {
+      pow.push_back(std::pow(LatencyHistogram::kGamma, b));
+    }
+    for (int e = 0; e <= 64; ++e) {
+      first[e] = static_cast<uint32_t>(
+          std::lower_bound(pow.begin(), pow.end(), std::ldexp(1.0, e)) - pow.begin());
+    }
+  }
+};
+
+const BucketEdges& Edges() {
+  static const BucketEdges edges;
+  return edges;
+}
+
+}  // namespace
+
 uint32_t LatencyHistogram::BucketOf(uint64_t value) {
   if (value == 0) {
     return 0;
   }
-  // floor(log_gamma(v)) + 1; bucket i >= 1 holds (gamma^(i-1), gamma^i].
-  const double lg = std::log(static_cast<double>(value)) / std::log(kGamma);
-  uint32_t b = static_cast<uint32_t>(std::max(0.0, std::ceil(lg)));
-  // Guard against floating-point edge cases at exact powers of gamma: the
-  // invariant is value <= gamma^b and value > gamma^(b-1).
-  while (static_cast<double>(value) > std::pow(kGamma, b)) {
-    ++b;
-  }
-  while (b > 0 && static_cast<double>(value) <= std::pow(kGamma, b - 1)) {
-    --b;
-  }
-  return b + 1;
+  // Bucket b + 1 for the smallest b with value <= gamma^b, i.e. stored index
+  // i >= 1 holds (gamma^(i-2), gamma^(i-1)]. 2^e <= value < 2^(e+1) and the
+  // double conversion rounds monotonically, so b lies in
+  // [first[e], first[e + 1]].
+  const BucketEdges& edges = Edges();
+  const int e = 63 - __builtin_clzll(value);
+  const double* base = edges.pow.data();
+  const double* it = std::lower_bound(base + edges.first[e], base + edges.first[e + 1] + 1,
+                                      static_cast<double>(value));
+  return static_cast<uint32_t>(it - base) + 1;
 }
 
 double LatencyHistogram::BucketRep(uint32_t bucket) {

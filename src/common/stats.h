@@ -92,11 +92,14 @@ class LatencyHistogram {
   // smoke test pins across worker-thread counts.
   uint64_t Digest() const;
 
- private:
+  // Stored bucket of `value`: 0 for zero, else b + 1 for the smallest b with
+  // value <= std::pow(kGamma, b). A lookup in a table of those powers.
   static uint32_t BucketOf(uint64_t value);
+
+ private:
   static double BucketRep(uint32_t bucket);
 
-  std::vector<uint64_t> buckets_;  // [0] = exact zeros; [i] = gamma^(i-1)..gamma^i
+  std::vector<uint64_t> buckets_;  // [0] = exact zeros; [i] = (gamma^(i-2), gamma^(i-1)]
   uint64_t total_ = 0;
   uint64_t min_ = 0;
   uint64_t max_ = 0;

@@ -1,6 +1,7 @@
 #include "src/farm/farm.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <optional>
 #include <queue>
@@ -238,6 +239,8 @@ FarmResult RunFarm(const FarmConfig& cfg) {
   }
 
   // Phase A: measure service demands, one independent simulation per shard.
+  using Clock = std::chrono::steady_clock;
+  const auto phase_a_start = Clock::now();
   std::vector<ShardOut> outs(cfg.shards);
   const uint32_t threads =
       cfg.host_threads == 0 ? HostHardwareThreads() : cfg.host_threads;
@@ -279,6 +282,7 @@ FarmResult RunFarm(const FarmConfig& cfg) {
   }
 
   // Phase B: deterministic discrete-event queueing over measured demands.
+  const auto phase_b_start = Clock::now();
   FarmResult result;
   std::vector<uint64_t> free_at(cfg.shards, 0);
   uint64_t makespan = 0;
@@ -348,6 +352,8 @@ FarmResult RunFarm(const FarmConfig& cfg) {
     }
   }
 
+  result.host_phase_a_s = std::chrono::duration<double>(phase_b_start - phase_a_start).count();
+  result.host_phase_b_s = std::chrono::duration<double>(Clock::now() - phase_b_start).count();
   result.makespan_cycles = makespan;
   result.shards.resize(cfg.shards);
   uint64_t digest = 1469598103934665603ull;

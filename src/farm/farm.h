@@ -125,6 +125,10 @@ struct FarmResult {
   // enabled, so fair-weather digests match the pre-resilience farm byte for
   // byte.
   uint64_t digest = 0;
+  // Host seconds spent in phase A (per-shard service measurement, host
+  // parallel) and phase B (the sequential timing pass). Never in the digest.
+  double host_phase_a_s = 0.0;
+  double host_phase_b_s = 0.0;
 };
 
 FarmResult RunFarm(const FarmConfig& cfg);

@@ -1,6 +1,7 @@
 #include "src/farm/resilience.h"
 
 #include <algorithm>
+#include <deque>
 #include <queue>
 
 #include "src/common/check.h"
@@ -40,13 +41,25 @@ struct Event {
   uint32_t id = 0;
 };
 
+// (time, seq) as one integer, so picking the earliest head is one compare.
+using EventKey = unsigned __int128;
+constexpr EventKey kNoEvent = ~EventKey{0};  // an empty source's head
+
+EventKey KeyOf(uint64_t time, uint64_t seq) {
+  return (static_cast<EventKey>(time) << 64) | seq;
+}
+
 struct EventAfter {
   bool operator()(const Event& a, const Event& b) const {
-    if (a.time != b.time) {
-      return a.time > b.time;
-    }
-    return a.seq > b.seq;
+    return KeyOf(a.time, a.seq) > KeyOf(b.time, b.seq);
   }
+};
+
+// An event whose kind is implied by the FIFO that holds it.
+struct Slot {
+  uint64_t time = 0;
+  uint64_t seq = 0;
+  uint32_t id = 0;
 };
 
 enum class SState : uint8_t { kAlive, kHung, kDead, kRestarting };
@@ -129,10 +142,32 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
   // dispatch window as healthy/degraded.
   uint32_t unhealthy = 0;
 
-  std::priority_queue<Event, std::vector<Event>, EventAfter> pq;
+  // Event sources, merged by (time, seq); see DESIGN.md §13. Each FIFO
+  // receives its events already sorted: timeouts and hedges at now plus a
+  // constant, arrivals one at a time (open loop) or at now plus think time
+  // (closed loop), and each shard's completions at its monotone free_at. Only
+  // retries (jittered backoff) and supervisor events go through the heap.
+  // heads[k] caches source k's earliest key; the heap's is heads.back().
+  constexpr size_t kArrivals = 0;
+  constexpr size_t kTimeouts = 1;
+  constexpr size_t kHedges = 2;
+  constexpr size_t kDoneBase = 3;  // + shard
+  std::vector<std::deque<Slot>> fifos(kDoneBase + nshards);
+  std::priority_queue<Event, std::vector<Event>, EventAfter> heap;
+  const size_t heap_src = fifos.size();
+  std::vector<EventKey> heads(fifos.size() + 1, kNoEvent);
   uint64_t seq = 0;
-  auto push = [&](uint64_t time, Event::Kind kind, uint32_t id) {
-    pq.push(Event{time, seq++, kind, id});
+  auto push_fifo = [&](size_t src, uint64_t time, uint32_t id) {
+    std::deque<Slot>& q = fifos[src];
+    DCHECK(q.empty() || KeyOf(time, seq) > KeyOf(q.back().time, q.back().seq));
+    if (q.empty()) {
+      heads[src] = KeyOf(time, seq);
+    }
+    q.push_back({time, seq++, id});
+  };
+  auto push_heap = [&](uint64_t time, Event::Kind kind, uint32_t id) {
+    heap.push(Event{time, seq++, kind, id});
+    heads[heap_src] = KeyOf(heap.top().time, heap.top().seq);
   };
 
   // Makespan: last client-visible resolution or executed shard completion.
@@ -191,14 +226,19 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
       set_state(s, SState::kRestarting, t);
       ++sh.epoch;  // in-flight work dies with the old incarnation
       sh.consec = 0;
-      push(t + warmup, Event::kRestartDone, s);
+      push_heap(t + warmup, Event::kRestartDone, s);
     } else {
       remove_from_ring(s);  // shard never returns; survivors absorb its keys
     }
   };
 
+  // Failover only erases ring points, so a key keeps its static-ring owner
+  // for as long as that shard stays in the ring (ring.h): only keys whose
+  // owner left need a lookup.
   auto dispatch = [&](uint32_t r, uint64_t t, bool hedge) {
-    const uint32_t s = hedge ? ring.RouteSecond(reqs[r].key) : ring.Route(reqs[r].key);
+    const uint32_t s = hedge                     ? ring.RouteSecond(reqs[r].key)
+                       : shard[primary[r]].in_ring ? primary[r]
+                                                   : ring.Route(reqs[r].key);
     AttemptState at;
     at.req = r;
     at.shard = s;
@@ -214,14 +254,14 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
       const uint32_t id = static_cast<uint32_t>(attempts.size());
       attempts.push_back(at);
       // kDone before kTimeout: a completion exactly at the deadline wins.
-      push(sh.free_at, Event::kDone, id);
-      push(t + rc.request_timeout_cycles, Event::kTimeout, id);
+      push_fifo(kDoneBase + s, sh.free_at, id);
+      push_fifo(kTimeouts, t + rc.request_timeout_cycles, id);
     } else {
       // Dead or restarting: the attempt falls on the floor; only the
       // client's deadline notices.
       const uint32_t id = static_cast<uint32_t>(attempts.size());
       attempts.push_back(at);
-      push(t + rc.request_timeout_cycles, Event::kTimeout, id);
+      push_fifo(kTimeouts, t + rc.request_timeout_cycles, id);
     }
   };
 
@@ -233,7 +273,7 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
   if (in.open_loop) {
     arrivals = PoissonArrivals(reqs.size(), in.offered_rps, in.ghz, in.seed);
     if (!reqs.empty()) {
-      push(arrivals[0], Event::kArrival, 0);
+      push_fifo(kArrivals, arrivals[0], 0);
     }
   } else {
     per_client.resize(clients);
@@ -243,7 +283,7 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
     }
     for (uint32_t c = 0; c < clients; ++c) {
       if (!per_client[c].empty()) {
-        push(0, Event::kArrival, per_client[c][0]);
+        push_fifo(kArrivals, 0, per_client[c][0]);
       }
     }
   }
@@ -257,7 +297,7 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
     }
     const uint32_t c = reqs[r].client % clients;
     if (++cursor[c] < per_client[c].size()) {
-      push(t + in.think_cycles, Event::kArrival, per_client[c][cursor[c]]);
+      push_fifo(kArrivals, t + in.think_cycles, per_client[c][cursor[c]]);
     }
   };
 
@@ -308,7 +348,7 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
       ++sh.epoch;  // queued + executing work dies with the process
       ++rep.shards[ev.shard].crashes;
       if (supervised) {
-        push(t + rc.watchdog_cycles, Event::kDetect, ev.shard);
+        push_heap(t + rc.watchdog_cycles, Event::kDetect, ev.shard);
       }
     } else {  // kHang
       if (sh.st != SState::kAlive) {
@@ -318,14 +358,45 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
       ++rep.shards[ev.shard].hangs;
       if (supervised) {
         // Slow-but-alive answers health probes late; conviction takes 2x.
-        push(t + 2 * rc.watchdog_cycles, Event::kDetect, ev.shard);
+        push_heap(t + 2 * rc.watchdog_cycles, Event::kDetect, ev.shard);
       }
     }
   };
 
-  while (!pq.empty()) {
-    const Event ev = pq.top();
-    pq.pop();
+  for (;;) {
+    size_t src = 0;
+    EventKey key = heads[0];
+    for (size_t k = 1; k < heads.size(); ++k) {
+      const bool earlier = heads[k] < key;
+      key = earlier ? heads[k] : key;
+      src = earlier ? k : src;
+    }
+    if (key == kNoEvent) {
+      break;
+    }
+    Event ev;
+    if (src == heap_src) {
+      ev = heap.top();
+      heap.pop();
+      heads[src] = heap.empty() ? kNoEvent : KeyOf(heap.top().time, heap.top().seq);
+    } else {
+      std::deque<Slot>& q = fifos[src];
+      const Slot slot = q.front();
+      q.pop_front();
+      // A timeout whose attempt already ended pops as a no-op; most attempts
+      // complete long before their deadline, so skip those here.
+      while (src == kTimeouts && !q.empty() && attempts[q.front().id].ended) {
+        q.pop_front();
+      }
+      heads[src] = q.empty() ? kNoEvent : KeyOf(q.front().time, q.front().seq);
+      ev.time = slot.time;
+      ev.seq = slot.seq;
+      ev.id = slot.id;
+      ev.kind = src == kArrivals   ? Event::kArrival
+                : src == kTimeouts ? Event::kTimeout
+                : src == kHedges   ? Event::kHedge
+                                   : Event::kDone;
+    }
     const uint64_t t = ev.time;
     switch (ev.kind) {
       case Event::kArrival: {
@@ -341,10 +412,10 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
         dispatch(r, t, /*hedge=*/false);
         if (hedging && ring.live_shards() > 1) {
           rq.hedge_pending = true;
-          push(t + rc.hedge_delay_cycles, Event::kHedge, r);
+          push_fifo(kHedges, t + rc.hedge_delay_cycles, r);
         }
         if (in.open_loop && static_cast<size_t>(r) + 1 < reqs.size()) {
-          push(arrivals[r + 1], Event::kArrival, r + 1);
+          push_fifo(kArrivals, arrivals[r + 1], r + 1);
         }
         break;
       }
@@ -411,8 +482,8 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
         ++rep.timed_out_attempts;
         if (!at.hedge && rq.chain < 1 + rc.max_retries) {
           rq.pending_retry = true;
-          push(t + RetryBackoffCycles(rc, in.seed, at.req, rq.chain), Event::kRetry,
-               at.req);
+          push_heap(t + RetryBackoffCycles(rc, in.seed, at.req, rq.chain), Event::kRetry,
+                    at.req);
         }
         maybe_fail(at.req, t);
         break;
@@ -458,7 +529,12 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
       case Event::kRestartDone: {
         ShardState& sh = shard[ev.id];
         set_state(ev.id, SState::kAlive, t);
-        sh.free_at = t;  // fresh incarnation, empty queue
+        // Fresh incarnation, empty queue. Every completion still queued was
+        // pushed before the epoch bump that started this restart, so each
+        // would pop as a no-op; dropping them lets free_at restart at t.
+        sh.free_at = t;
+        fifos[kDoneBase + ev.id].clear();
+        heads[kDoneBase + ev.id] = kNoEvent;
         sh.consec = 0;
         ++rep.shards[ev.id].restarts;
         ++rep.restarts;

@@ -183,7 +183,9 @@ struct ResilientTimingInput {
   // outcome 2 is specific to the request's phase-A shard (poisoned metadata)
   // and clears when an attempt is re-routed elsewhere.
   const std::vector<uint8_t>* outcome = nullptr;
-  // Static-ring shard each request was measured on in phase A.
+  // Static-ring shard each request was measured on in phase A: the
+  // Route(key) of the ring passed to ResilientTiming. Dispatch reuses it for
+  // as long as that shard stays in the ring.
   const std::vector<uint32_t>* primary_shard = nullptr;
   bool open_loop = false;
   double offered_rps = 0.0;

@@ -94,7 +94,7 @@ struct IrInstr {
   std::vector<ValueId> args;
   int64_t imm = 0;
   int64_t imm2 = 0;
-  std::string symbol;
+  std::string symbol{};
 };
 
 struct IrBlock {

@@ -100,7 +100,7 @@ struct Env {
   // Check-pipeline statistics; IR-driven bodies accumulate the stats returned
   // by SchemeIrLowering<P>::Apply here and the harness copies them into
   // RunResult.pass_stats.
-  CheckPassStats pass_stats;
+  CheckPassStats pass_stats{};
 
   using Ptr = typename P::Ptr;
 

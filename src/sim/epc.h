@@ -13,12 +13,16 @@
 // per page holds both links, and residency is encoded as a sentinel in the
 // prev link. A touch of a resident page (every L2 miss in enclave mode) thus
 // costs one cache line for the page's own state instead of three.
+//
+// The 8 MiB node array is an anonymous zero mapping, and the links are stored
+// XOR their sentinels so that zero bytes decode to "not resident, no next".
+// Construction therefore writes nothing: the host faults in only the node
+// pages a run touches, instead of filling 2^20 nodes per enclave.
 
 #ifndef SGXBOUNDS_SRC_SIM_EPC_H_
 #define SGXBOUNDS_SRC_SIM_EPC_H_
 
 #include <cstdint>
-#include <vector>
 
 namespace sgxb {
 
@@ -27,12 +31,15 @@ class EpcSim {
   // capacity_bytes: usable EPC size. The page table covers the whole 32-bit
   // enclave address space (2^20 pages of 4 KiB).
   explicit EpcSim(uint64_t capacity_bytes);
+  ~EpcSim();
+  EpcSim(const EpcSim&) = delete;
+  EpcSim& operator=(const EpcSim&) = delete;
 
   // Marks a page access. Returns true if this access faulted (page was not
   // resident and had to be paged in, possibly evicting the LRU page).
   bool Touch(uint32_t page) {
     Node& nd = nodes_[page];
-    if (nd.prev != kNotResident) {
+    if (nd.resident()) {
       if (head_ != page) {
         Unlink(nd);
         PushFront(nd, page);
@@ -60,31 +67,39 @@ class EpcSim {
   static constexpr uint32_t kNotResident = 0xfffffffeu;
   static constexpr uint32_t kMaxPages = 1u << 20;  // 4 GiB / 4 KiB
 
+  // Links stored XOR their "absent" values: an all-zero node is a
+  // non-resident page with no links.
   struct Node {
-    uint32_t prev;
-    uint32_t next;
+    uint32_t prev_x = 0;
+    uint32_t next_x = 0;
+
+    bool resident() const { return prev_x != 0; }
+    uint32_t prev() const { return prev_x ^ kNotResident; }
+    uint32_t next() const { return next_x ^ kNil; }
+    void set_prev(uint32_t p) { prev_x = p ^ kNotResident; }
+    void set_next(uint32_t n) { next_x = n ^ kNil; }
   };
 
   void Unlink(Node& nd) {
-    const uint32_t p = nd.prev;
-    const uint32_t n = nd.next;
+    const uint32_t p = nd.prev();
+    const uint32_t n = nd.next();
     if (p != kNil) {
-      nodes_[p].next = n;
+      nodes_[p].set_next(n);
     } else {
       head_ = n;
     }
     if (n != kNil) {
-      nodes_[n].prev = p;
+      nodes_[n].set_prev(p);
     } else {
       tail_ = p;
     }
   }
 
   void PushFront(Node& nd, uint32_t page) {
-    nd.prev = kNil;
-    nd.next = head_;
+    nd.set_prev(kNil);
+    nd.set_next(head_);
     if (head_ != kNil) {
-      nodes_[head_].prev = page;
+      nodes_[head_].set_prev(page);
     }
     head_ = page;
     if (tail_ == kNil) {
@@ -101,7 +116,7 @@ class EpcSim {
   uint64_t evictions_ = 0;
   uint32_t head_ = kNil;  // MRU
   uint32_t tail_ = kNil;  // LRU
-  std::vector<Node> nodes_;
+  Node* nodes_ = nullptr;  // kMaxPages nodes, anonymous zero mapping
 };
 
 }  // namespace sgxb

@@ -234,6 +234,43 @@ TEST(LatencyHistogramTest, QuantileRelativeErrorWithinTwoPercent) {
   }
 }
 
+TEST(LatencyHistogramTest, BucketOfIsSmallestPowerAtOrAbove) {
+  // The bucket table must reproduce the defining rule exactly: value v lands
+  // in b + 1 for the smallest b with v <= std::pow(kGamma, b). Probe every
+  // edge (rounded down, exact, rounded up), octave boundaries, and a seeded
+  // spread of values up to UINT64_MAX.
+  auto edge = [](uint32_t b) { return std::pow(LatencyHistogram::kGamma, b); };
+  auto check = [&](uint64_t v) {
+    const uint32_t got = LatencyHistogram::BucketOf(v);
+    ASSERT_GE(got, 1u) << v;
+    const double dv = static_cast<double>(v);
+    EXPECT_LE(dv, edge(got - 1)) << v;
+    if (got > 1) {
+      EXPECT_GT(dv, edge(got - 2)) << v;
+    }
+  };
+  EXPECT_EQ(LatencyHistogram::BucketOf(0), 0u);
+  for (uint32_t b = 0; edge(b) < 1.8e19; ++b) {
+    const uint64_t near = static_cast<uint64_t>(edge(b));
+    for (uint64_t v = near > 2 ? near - 2 : 1; v <= near + 2; ++v) {
+      check(v);
+    }
+  }
+  for (int e = 0; e < 64; ++e) {
+    const uint64_t p = uint64_t{1} << e;
+    check(p);
+    check(p + 1);
+    if (p > 1) {
+      check(p - 1);
+    }
+  }
+  check(~uint64_t{0});
+  Rng rng(3);
+  for (int i = 0; i < 100000; ++i) {
+    check(std::max<uint64_t>(1, rng.Next() >> rng.NextBounded(64)));
+  }
+}
+
 TEST(LatencyHistogramTest, QuantilesClampedToObservedRange) {
   LatencyHistogram h;
   h.Add(1000);

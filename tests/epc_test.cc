@@ -79,6 +79,27 @@ TEST(EpcTest, ResetClearsEverything) {
   EXPECT_TRUE(epc.Touch(1));  // faults again after reset
 }
 
+TEST(EpcTest, ZeroFilledTableStartsEmpty) {
+  // The node table is a fresh zero mapping: every page, including the first
+  // and the last of the 32-bit space, starts non-resident and links into the
+  // LRU list like any other.
+  constexpr uint32_t kLast = (1u << 20) - 1;
+  EpcSim epc(2 * kPageSize);
+  EXPECT_FALSE(epc.Resident(0));
+  EXPECT_FALSE(epc.Resident(kLast));
+  EXPECT_TRUE(epc.Touch(kLast));
+  EXPECT_TRUE(epc.Touch(0));
+  EXPECT_FALSE(epc.Touch(kLast));  // kLast is MRU, page 0 the LRU
+  EXPECT_TRUE(epc.Touch(kLast - 1));  // evicts page 0
+  EXPECT_FALSE(epc.Resident(0));
+  EXPECT_TRUE(epc.Resident(kLast));
+  EXPECT_TRUE(epc.Resident(kLast - 1));
+  EXPECT_EQ(epc.evictions(), 1u);
+  epc.Reset();
+  EXPECT_FALSE(epc.Resident(kLast));
+  EXPECT_TRUE(epc.Touch(0));
+}
+
 TEST(EpcTest, CapacityPagesMatchesConfig) {
   EpcSim epc(94 * kMiB);
   EXPECT_EQ(epc.capacity_pages(), 94u * 1024 / 4);

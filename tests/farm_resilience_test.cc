@@ -1,12 +1,14 @@
 // Tests for src/farm/resilience: the fault-tolerant farm layer. Pins the
 // bit-identity contract (host thread count never changes a resilient result
 // byte, every recovery mode produces a distinct pinned digest for the same
-// fault campaign), ring failover's bounded key movement, phase-A fault
-// containment/classification, and the seeded retry-backoff schedule.
+// fault campaign), literal phase-B digests per recovery mode, ring
+// failover's bounded key movement, phase-A fault containment/classification,
+// and the seeded retry-backoff schedule.
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/farm/farm.h"
@@ -94,6 +96,64 @@ TEST(FarmResilienceTest, SupervisorActsPerMode) {
   EXPECT_EQ(failover.resilience.restarts, 0u);
   EXPECT_GT(failover.resilience.failovers, 0u);
   EXPECT_GT(failover.resilience.completed, stop.resilience.completed);
+}
+
+// Literal phase-B results for the faulted fleet under every recovery mode,
+// open loop at ~80% utilisation and closed loop. Two extra restart rows use
+// a warm-up shorter than the hung shard's backlog, so the restart lands while
+// completions of the old incarnation are still queued. The other tests
+// compare runs with each other; this one pins the event order itself, so a
+// scheduler change that reorders simultaneous events, or drops one that was
+// not a no-op, fails here even if it stays self-consistent across thread
+// counts.
+TEST(FarmResilienceTest, PinnedDigests) {
+  struct Pinned {
+    RecoveryMode mode;
+    bool open_loop;
+    uint64_t warmup;  // restart_warmup_cycles; 0 = derived from the cost model
+    uint64_t digest;
+    uint64_t resilience_digest;
+    uint64_t attempts;
+    uint64_t retries;
+    uint64_t hedges;
+  };
+  constexpr Pinned kPinned[] = {
+      {RecoveryMode::kFailStop, true, 0, 0x8af1bce1f1240ad2ull, 0x6dbd8c701f4fb3a8ull,
+       6475, 2475, 0},
+      {RecoveryMode::kRestart, true, 0, 0x4e3093f959ebf697ull, 0xddf7b5fc7cbf7903ull,
+       5620, 1620, 0},
+      {RecoveryMode::kFailover, true, 0, 0xeac9f0628ce48c8full, 0x1a26bc22f451a79eull,
+       4317, 317, 0},
+      {RecoveryMode::kFailoverHedge, true, 0, 0x5bb164e3404f80d9ull, 0x00a5a2e0d7f65723ull,
+       4246, 0, 246},
+      {RecoveryMode::kFailStop, false, 0, 0x9ecbfdd94253f028ull, 0xbab116693019e59aull,
+       6664, 2664, 0},
+      {RecoveryMode::kRestart, false, 0, 0x5efe87e47a309ce6ull, 0x41c4abfaee49f830ull,
+       4910, 910, 0},
+      {RecoveryMode::kFailover, false, 0, 0x40a8ae3334dc6e3cull, 0x2f5c983fd7ed7f36ull,
+       4429, 429, 0},
+      {RecoveryMode::kFailoverHedge, false, 0, 0x35c1f2f57749b22dull, 0xff53891f8d7d3237ull,
+       5078, 11, 1067},
+      {RecoveryMode::kRestart, true, 100000, 0x873576e0d845bf59ull, 0x9b2dde1ae842f1ddull,
+       4227, 227, 0},
+      {RecoveryMode::kRestart, false, 100000, 0x3aeefc7ce7dea72bull, 0x3d85c84e149da976ull,
+       4384, 384, 0},
+  };
+  for (const Pinned& p : kPinned) {
+    FarmConfig cfg = FaultedConfig(p.mode);
+    cfg.open_loop = p.open_loop;
+    cfg.offered_rps = 1400000;
+    cfg.resilience.restart_warmup_cycles = p.warmup;
+    const FarmResult r = RunFarm(cfg);
+    const ResilienceReport& rr = r.resilience;
+    const std::string what = std::string(RecoveryModeName(p.mode)) +
+                             (p.open_loop ? " open loop" : " closed loop");
+    EXPECT_EQ(r.digest, p.digest) << what;
+    EXPECT_EQ(rr.digest, p.resilience_digest) << what;
+    EXPECT_EQ(rr.attempts, p.attempts) << what;
+    EXPECT_EQ(rr.retries, p.retries) << what;
+    EXPECT_EQ(rr.hedges, p.hedges) << what;
+  }
 }
 
 TEST(FarmResilienceTest, FailoverMovesOnlyVictimKeys) {
