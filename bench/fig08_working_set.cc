@@ -12,22 +12,17 @@
 
 #include "bench/bench_util.h"
 
-#include <cstdlib>
-
 #include "src/trace/record.h"
-#include "src/trace/sweep.h"
 
 namespace {
 
 // EPC sweep (the working-set pressure axis): cycles and fault counts per EPC
 // size, one table per workload. `--mode=live` re-executes the workload per
-// point; `--mode=replay` executes once, records the trace, and re-simulates
-// every point through EpcSweeper; `--mode=sweep` also executes once but
-// routes the whole (workload x EPC) grid through the SweepEngine, which
-// decodes each trace once, amortizes one capture per trace, and work-steals
-// the grid across --bench_threads. All three print identical series —
-// asserted by tests/trace_test.cc — so replay/sweep are purely wall-clock
-// wins.
+// point. `--mode=sweep` executes each workload once, recording its trace,
+// decodes it and drops the encoded bytes, takes one ConfigSweeper capture,
+// and re-prices that capture at every EPC point. Both modes print identical
+// tables (tests/trace_test.cc asserts the re-pricing is bit-identical to a
+// full replay; CI diffs the two modes), so sweep is purely a wall-clock win.
 void RunEpcSweep(const std::vector<const sgxb::WorkloadInfo*>& workloads,
                  const std::vector<uint64_t>& epc_mibs, const std::string& mode,
                  sgxb::SizeClass size, sgxb::PolicyKind kind, uint32_t threads) {
@@ -38,48 +33,22 @@ void RunEpcSweep(const std::vector<const sgxb::WorkloadInfo*>& workloads,
   cfg.size = size;
   cfg.threads = threads;
   std::vector<std::vector<RunResult>> all_points(workloads.size());
-  if (mode == "replay") {
-    // One execution per workload (fanned across host threads), then every EPC
-    // point comes from the sweeper in milliseconds.
+  if (mode == "sweep") {
     ParallelFor(workloads.size(), ResolveBenchThreads(), [&](size_t i) {
-      const WorkloadInfo* w = workloads[i];
-      const RecordedRun rec = RecordWorkloadRun(*w, kind, MachineSpec{}, PolicyOptions{}, cfg);
-      const EpcSweeper sweeper(rec.trace, SimConfigFromHeader(rec.trace.header));
+      DecodedTrace decoded;
+      {
+        const RecordedRun rec =
+            RecordWorkloadRun(*workloads[i], kind, MachineSpec{}, PolicyOptions{}, cfg);
+        decoded = DecodedTrace(rec.trace);
+      }
+      const SimConfig base = SimConfigFromHeader(decoded.header());
+      const ConfigSweeper sweeper(decoded, base);
       for (uint64_t mib : epc_mibs) {
-        all_points[i].push_back(ToRunResult(sweeper.ReplayAt(mib * kMiB), rec.trace));
+        SimConfig point = base;
+        point.epc_bytes = mib * kMiB;
+        all_points[i].push_back(ToRunResult(sweeper.Replay(point), decoded));
       }
     });
-  } else if (mode == "sweep") {
-    // Record each workload once, then hand every (workload, EPC) cell to the
-    // sweep engine as one batch.
-    std::vector<RecordedRun> recs(workloads.size());
-    ParallelFor(workloads.size(), ResolveBenchThreads(), [&](size_t i) {
-      recs[i] = RecordWorkloadRun(*workloads[i], kind, MachineSpec{}, PolicyOptions{}, cfg);
-    });
-    std::vector<DecodedTrace> decoded;
-    decoded.reserve(recs.size());
-    for (const RecordedRun& rec : recs) {
-      decoded.emplace_back(rec.trace);
-    }
-    std::vector<SweepRequest> grid;
-    for (const DecodedTrace& d : decoded) {
-      for (uint64_t mib : epc_mibs) {
-        SweepRequest req;
-        req.trace = &d;
-        req.config = SimConfigFromHeader(d.header());
-        req.config.epc_bytes = mib * kMiB;
-        grid.push_back(req);
-      }
-    }
-    SweepOptions opt;
-    opt.threads = ResolveBenchThreads();
-    SweepEngine engine(opt);
-    const std::vector<ReplayResult> swept = engine.Run(grid);
-    for (size_t i = 0; i < workloads.size(); ++i) {
-      for (size_t j = 0; j < epc_mibs.size(); ++j) {
-        all_points[i].push_back(ToRunResult(swept[i * epc_mibs.size() + j], decoded[i]));
-      }
-    }
   } else {
     std::vector<BenchJob> jobs;
     for (const WorkloadInfo* w : workloads) {
@@ -113,23 +82,6 @@ void RunEpcSweep(const std::vector<const sgxb::WorkloadInfo*>& workloads,
   }
 }
 
-std::vector<uint64_t> ParseMibList(const std::string& csv) {
-  std::vector<uint64_t> out;
-  size_t pos = 0;
-  while (pos < csv.size()) {
-    size_t comma = csv.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = csv.size();
-    }
-    const std::string tok = csv.substr(pos, comma - pos);
-    if (!tok.empty()) {
-      out.push_back(std::strtoull(tok.c_str(), nullptr, 10));
-    }
-    pos = comma + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -137,16 +89,18 @@ int main(int argc, char** argv) {
   FlagParser parser;
   int64_t threads = 8;
   std::string mode = "live";
-  std::string epc_mibs_csv;
+  std::vector<uint64_t> epc_mibs;
   std::string sweep_size = "S";
   std::string sweep_policy = "sgxbounds";
   parser.AddInt("threads", &threads, "worker threads");
-  parser.AddChoice("mode", &mode, {"live", "replay", "sweep"},
-                   "EPC sweep execution: live re-executes per point, replay records "
-                   "once per workload, sweep batches the grid through the SweepEngine");
-  parser.AddString("epc_mibs", &epc_mibs_csv,
-                   "comma-separated EPC sizes in MiB; when set, runs the EPC sweep "
-                   "instead of the working-set grid");
+  parser.AddChoice("mode", &mode, {"live", "sweep"},
+                   "EPC sweep execution: live re-executes per point, sweep records "
+                   "once per workload and re-prices the trace at every point");
+  parser.AddCallback(
+      "epc_mibs", [&](const std::string& v) { return ParseUintList(v, 1, &epc_mibs); },
+      "comma-separated EPC sizes in MiB (each >= 1); when set, runs the EPC sweep "
+      "instead of the working-set grid",
+      "unset");
   parser.AddChoice("sweep_size", &sweep_size, SizeClassChoices(), "EPC sweep input size class");
   parser.AddChoice("sweep_policy", &sweep_policy, PolicyChoices(), "EPC sweep policy");
   AddBenchDriverFlags(parser);
@@ -154,18 +108,18 @@ int main(int argc, char** argv) {
 
   PrintReproHeader("fig08_working_set", MachineSpec{});
 
-  std::vector<const WorkloadInfo*> sweep_workloads;
+  std::vector<const WorkloadInfo*> workloads;
   for (const char* name : {"kmeans", "matrixmul", "wordcount", "linear_regression"}) {
     const WorkloadInfo* w = WorkloadRegistry::Instance().Find(name);
     if (w != nullptr) {
-      sweep_workloads.push_back(w);
+      workloads.push_back(w);
     }
   }
 
-  if (!epc_mibs_csv.empty()) {
+  if (!epc_mibs.empty()) {
     const PolicyKind kind = ParsePolicyKind(sweep_policy);
-    RunEpcSweep(sweep_workloads, ParseMibList(epc_mibs_csv), mode,
-                ParseSizeClass(sweep_size), kind, static_cast<uint32_t>(threads));
+    RunEpcSweep(workloads, epc_mibs, mode, ParseSizeClass(sweep_size), kind,
+                static_cast<uint32_t>(threads));
     return 0;
   }
 
@@ -178,13 +132,6 @@ int main(int argc, char** argv) {
 
   // Fan every (workload, size, policy) run out across host threads, then
   // print the per-workload tables from the collected results in order.
-  std::vector<const WorkloadInfo*> workloads;
-  for (const char* name : {"kmeans", "matrixmul", "wordcount", "linear_regression"}) {
-    const WorkloadInfo* w = WorkloadRegistry::Instance().Find(name);
-    if (w != nullptr) {
-      workloads.push_back(w);
-    }
-  }
   constexpr size_t kNumSizes = sizeof(sizes) / sizeof(sizes[0]);
   // This figure's analysis is intrinsically about the paper's four schemes
   // (everything is normalized to SGXBounds, Table 3 counts MPX tables).

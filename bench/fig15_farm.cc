@@ -41,34 +41,6 @@ struct SweepPoint {
   FarmResult result;
 };
 
-std::vector<uint64_t> ParseCsvU64(const std::string& csv, const char* flag) {
-  std::vector<uint64_t> out;
-  size_t pos = 0;
-  while (pos <= csv.size()) {
-    const size_t comma = csv.find(',', pos);
-    const std::string tok =
-        csv.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    if (!tok.empty()) {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || v == 0) {
-        std::fprintf(stderr, "--%s: '%s' is not a positive integer\n", flag, tok.c_str());
-        std::exit(2);
-      }
-      out.push_back(v);
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    pos = comma + 1;
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "--%s: empty list\n", flag);
-    std::exit(2);
-  }
-  return out;
-}
-
 // Resolves --apps: csv of registered app names, or "all".
 std::vector<FarmApp> ResolveApps(const std::string& csv) {
   std::vector<FarmApp> apps;
@@ -261,9 +233,9 @@ int Main(int argc, char** argv) {
   AddBenchDriverFlags(parser);
   AddPoliciesFlag(parser);
   std::string apps_csv = "kvstore,memcached,httpd";
-  std::string shards_csv = "1,2,4,8";
-  std::string clients_csv = "1,8,32,128";
-  std::string rps_csv = "50000,200000,800000";
+  std::vector<uint64_t> shard_counts = {1, 2, 4, 8};
+  std::vector<uint64_t> clients = {1, 8, 32, 128};
+  std::vector<uint64_t> rps = {50000, 200000, 800000};
   std::string mode = "closed";
   std::string transitions = "sync";
   uint64_t requests = 20000;
@@ -279,11 +251,15 @@ int Main(int argc, char** argv) {
   bool selfcheck = false;
   parser.AddString("apps", &apps_csv,
                    "comma-separated farm apps (kvstore|memcached|httpd|nginx|netserver|all)");
-  parser.AddString("shards", &shards_csv, "comma-separated shard counts to sweep");
-  parser.AddString("clients", &clients_csv,
-                   "closed loop: comma-separated client counts (the offered-load axis)");
-  parser.AddString("rps", &rps_csv,
-                   "open loop: comma-separated offered requests/second");
+  parser.AddCallback(
+      "shards", [&](const std::string& v) { return ParseUintList(v, 1, &shard_counts); },
+      "comma-separated shard counts to sweep", "1,2,4,8");
+  parser.AddCallback(
+      "clients", [&](const std::string& v) { return ParseUintList(v, 1, &clients); },
+      "closed loop: comma-separated client counts (the offered-load axis)", "1,8,32,128");
+  parser.AddCallback(
+      "rps", [&](const std::string& v) { return ParseUintList(v, 1, &rps); },
+      "open loop: comma-separated offered requests/second", "50000,200000,800000");
   parser.AddChoice("mode", &mode, {"closed", "open"},
                    "arrival process: closed-loop clients or open-loop Poisson");
   parser.AddChoice("transitions", &transitions, {"off", "sync", "switchless"},
@@ -374,9 +350,7 @@ int Main(int argc, char** argv) {
 
   const std::vector<FarmApp> apps = ResolveApps(apps_csv);
   const std::vector<PolicyKind> policies = ResolvePolicies();
-  const std::vector<uint64_t> shard_counts = ParseCsvU64(shards_csv, "shards");
-  const std::vector<uint64_t> loads = proto.open_loop ? ParseCsvU64(rps_csv, "rps")
-                                                      : ParseCsvU64(clients_csv, "clients");
+  const std::vector<uint64_t>& loads = proto.open_loop ? rps : clients;
 
   std::vector<SweepPoint> points;
   for (const FarmApp app : apps) {

@@ -43,34 +43,6 @@ struct SweepPoint {
 
 double CyclesToUs(double cycles, double ghz) { return cycles / (ghz * 1e3); }
 
-std::vector<uint64_t> ParseCsvU64OrZero(const std::string& csv, const char* flag) {
-  std::vector<uint64_t> out;
-  size_t pos = 0;
-  while (pos <= csv.size()) {
-    const size_t comma = csv.find(',', pos);
-    const std::string tok =
-        csv.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    if (!tok.empty()) {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') {
-        std::fprintf(stderr, "--%s: '%s' is not an integer\n", flag, tok.c_str());
-        std::exit(2);
-      }
-      out.push_back(v);
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    pos = comma + 1;
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "--%s: empty list\n", flag);
-    std::exit(2);
-  }
-  return out;
-}
-
 std::vector<RecoveryMode> ResolveRecoveries(const std::string& csv) {
   std::vector<RecoveryMode> out;
   if (csv == "all") {
@@ -221,7 +193,7 @@ int Main(int argc, char** argv) {
   AddBenchDriverFlags(parser);
   std::string app = "kvstore";
   std::string policy = "sgxbounds";
-  std::string rates_csv = "0,2,4,8";
+  std::vector<uint64_t> rates = {0, 2, 4, 8};
   std::string recoveries_csv = "all";
   std::string transitions = "sync";
   uint64_t shards = 8;
@@ -233,9 +205,9 @@ int Main(int argc, char** argv) {
   bool selfcheck = false;
   parser.AddChoice("app", &app, FarmAppChoices(), "farm app to serve");
   parser.AddString("policy", &policy, "memory-safety scheme for every shard");
-  parser.AddString("fault_rates", &rates_csv,
-                   "comma-separated fault-event counts to sweep (0 = fault-free "
-                   "baseline)");
+  parser.AddCallback(
+      "fault_rates", [&](const std::string& v) { return ParseUintList(v, 0, &rates); },
+      "comma-separated fault-event counts to sweep (0 = fault-free baseline)", "0,2,4,8");
   parser.AddString("recoveries", &recoveries_csv,
                    "comma-separated recovery policies "
                    "(failstop|restart|failover|failover+hedge|all)");
@@ -278,7 +250,6 @@ int Main(int argc, char** argv) {
   }
 
   proto.machine.recovery.enabled = true;
-  const std::vector<uint64_t> rates = ParseCsvU64OrZero(rates_csv, "fault_rates");
   const std::vector<RecoveryMode> modes = ResolveRecoveries(recoveries_csv);
 
   std::vector<SweepPoint> points;

@@ -31,6 +31,17 @@ double HostMsFor(const std::string& label) {
   return -1.0;
 }
 
+// Job label of one (workload, policy, engine) run: `base`, plus "#rep" when
+// the run is repeated.
+std::string JobLabel(const std::string& base, int64_t rep, int64_t repeats) {
+  std::string label = base;
+  if (repeats > 1) {
+    label += '#';
+    label += std::to_string(rep);
+  }
+  return label;
+}
+
 bool SameSimulation(const RunResult& a, const RunResult& b) {
   return a.cycles == b.cycles && a.peak_vm_bytes == b.peak_vm_bytes &&
          a.crashed == b.crashed && a.trap_message == b.trap_message &&
@@ -93,12 +104,10 @@ int main(int argc, char** argv) {
         for (int64_t rep = 0; rep < repeats; ++rep) {
           PolicyOptions options;
           options.ir_engine = engine;
-          std::string label = w->name + "/" + PolicyName(kind) + "/" + IrEngineName(engine);
-          if (repeats > 1) {
-            label += "#" + std::to_string(rep);
-          }
+          const std::string base =
+              w->name + "/" + PolicyName(kind) + "/" + IrEngineName(engine);
           jobs.push_back(
-              {std::move(label), [w, kind, spec, options, cfg] {
+              {JobLabel(base, rep, repeats), [w, kind, spec, options, cfg] {
                  return w->run(kind, spec, options, cfg);
                }});
         }
@@ -161,8 +170,7 @@ int main(int argc, char** argv) {
                                  "/" + IrEngineName(engines[e]);
         double best = -1;
         for (int64_t rep = 0; rep < repeats; ++rep) {
-          const std::string suffix = repeats > 1 ? "#" + std::to_string(rep) : "";
-          const double ms = HostMsFor(base + suffix);
+          const double ms = HostMsFor(JobLabel(base, rep, repeats));
           if (ms >= 0 && (best < 0 || ms < best)) {
             best = ms;
           }

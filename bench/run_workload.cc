@@ -4,8 +4,7 @@
 // of; handy for exploring the simulator interactively:
 //
 //   ./build/bench/run_workload --list
-//   ./build/bench/run_workload --workload=kmeans --policy=mpx --size=M \
-//       --threads=8 --epc_mb=94
+//   ./build/bench/run_workload --workload=kmeans --policy=mpx --size=M --threads=8 --epc_mb=94
 //   ./build/bench/run_workload --workload=mcf --policy=sgxbounds --no_enclave
 
 #include "bench/bench_util.h"
@@ -20,7 +19,6 @@ int main(int argc, char** argv) {
   uint64_t epc_mb = 94;
   bool no_enclave = false;
   bool list = false;
-  bool no_opts = false;
   // Strict choice: an unknown name dies at parse time listing every
   // registered spelling, instead of running the default workload.
   std::vector<std::string> workload_choices;
@@ -33,7 +31,6 @@ int main(int argc, char** argv) {
   parser.AddInt("threads", &threads, "worker threads");
   parser.AddUint("epc_mb", &epc_mb, "usable EPC size in MiB");
   parser.AddBool("no_enclave", &no_enclave, "run outside the enclave (no EPC/MEE)");
-  parser.AddBool("no_opts", &no_opts, "disable every check optimization (same as --opts=none)");
   parser.AddBool("list", &list, "list registered workloads and exit");
   AddOptsFlag(parser);
   AddBenchDriverFlags(parser);
@@ -65,15 +62,8 @@ int main(int argc, char** argv) {
   cfg.size = ParseSizeClass(size);
   cfg.threads = static_cast<uint32_t>(threads);
   // Start from the scheme's registry defaults (paper four: the SS4.4 pair;
-  // shadow: all five pipeline passes), then apply --opts / --no_opts.
-  PolicyOptions options = ResolveOptions(SchemeOf(kind).default_options);
-  if (no_opts) {
-    options.opt_safe_elision = false;
-    options.opt_hoist_checks = false;
-    options.opt_redundant_elision = false;
-    options.opt_pattern_loops = false;
-    options.opt_infield_elision = false;
-  }
+  // shadow: all five pipeline passes), then apply --opts.
+  const PolicyOptions options = ResolveOptions(SchemeOf(kind).default_options);
 
   // Through the shared job runner so --selftime / --json see this run too.
   const RunResult r = RunBenchJobs(

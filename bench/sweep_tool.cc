@@ -1,7 +1,8 @@
 // sweep_tool: drive the parallel sweep engine over a (trace x SimConfig)
-// grid and measure it against the sequential-replay baseline.
+// grid and measure it against the sequential-replay baseline. Typical run
+// (one command line):
 //
-//   sweep_tool --workloads=kmeans,matrixmul --policies=sgxbounds,sgx \
+//   sweep_tool --workloads=kmeans,matrixmul --policies=sgxbounds,sgx
 //              --epc_points=16 --cost_points=2 --modes=both --mode=verify
 //
 // The grid is the cross product of three config axes per recorded trace:
@@ -118,8 +119,6 @@ int Main(int argc, char** argv) {
   uint64_t epc_max_mib = 128;
   uint64_t cost_points = 2;
   uint64_t l3_points = 1;
-  bool memoize = true;
-  bool use_capture = true;
   parser.AddString("workloads", &workloads_csv, "comma-separated workloads to record");
   parser.AddString("traces", &traces_csv,
                    "comma-separated .sgxtrace files to sweep instead of recording");
@@ -137,9 +136,6 @@ int Main(int argc, char** argv) {
   parser.AddUint("l3_points", &l3_points,
                  "L3 axis: geometry i halves the L3 i times; points past the first "
                  "force the full-replay fallback");
-  parser.AddBool("memoize", &memoize, "reuse results across identical configs");
-  parser.AddBool("use_capture", &use_capture,
-                 "allow structural-capture re-pricing (off = full replay only)");
   AddPoliciesFlag(parser);
   AddBenchDriverFlags(parser);
   parser.Parse(argc, argv);
@@ -258,15 +254,13 @@ int Main(int argc, char** argv) {
   if (mode == "sweep" || mode == "verify") {
     SweepOptions opt;
     opt.threads = threads;
-    opt.memoize = memoize;
-    opt.use_capture = use_capture;
     SweepEngine engine(opt);
     const auto start = Clock::now();
     swept = engine.Run(grid);
     sweep_seconds = Seconds(start, Clock::now());
     stats = engine.stats();
     std::fprintf(stderr,
-                 "[sweep] engine: %.3f s on %u thread(s) — %" PRIu64 " memo hits, %" PRIu64
+                 "[sweep] engine: %.3f s on %u thread(s) — %" PRIu64 " duplicates, %" PRIu64
                  " capture(s), %" PRIu64 " re-priced, %" PRIu64 " full replay(s)\n",
                  sweep_seconds, threads, stats.memo_hits, stats.captures_built,
                  stats.capture_replays, stats.full_replays);

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 
 namespace sgxb {
 
@@ -34,6 +35,44 @@ std::string DefaultToString(FlagParser* unused, const void* target, int kind_ind
 }
 
 }  // namespace
+
+bool ParseUint(const std::string& text, uint64_t* out) {
+  if (text.empty()) {
+    return false;
+  }
+  uint64_t v = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') {
+      return false;
+    }
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (v > (UINT64_MAX - digit) / 10) {
+      return false;
+    }
+    v = v * 10 + digit;
+  }
+  *out = v;
+  return true;
+}
+
+bool ParseUintList(const std::string& csv, uint64_t min, std::vector<uint64_t>* out) {
+  std::vector<uint64_t> values;
+  size_t pos = 0;
+  while (true) {
+    const size_t comma = csv.find(',', pos);
+    uint64_t v = 0;
+    if (!ParseUint(csv.substr(pos, comma - pos), &v) || v < min) {
+      return false;
+    }
+    values.push_back(v);
+    if (comma == std::string::npos) {
+      break;
+    }
+    pos = comma + 1;
+  }
+  *out = std::move(values);
+  return true;
+}
 
 void FlagParser::AddInt(const std::string& name, int64_t* target, const std::string& help) {
   flags_.push_back({name, Kind::kInt, target, help, DefaultToString(this, target, 0)});
@@ -89,14 +128,8 @@ bool FlagParser::SetValue(const Flag& flag, const std::string& value) {
       *static_cast<int64_t*>(flag.target) = v;
       return true;
     }
-    case Kind::kUint: {
-      const unsigned long long v = std::strtoull(value.c_str(), &end, 0);
-      if (end == nullptr || *end != '\0') {
-        return false;
-      }
-      *static_cast<uint64_t*>(flag.target) = v;
-      return true;
-    }
+    case Kind::kUint:
+      return ParseUint(value, static_cast<uint64_t*>(flag.target));
     case Kind::kDouble: {
       const double v = std::strtod(value.c_str(), &end);
       if (end == nullptr || *end != '\0') {

@@ -17,6 +17,16 @@
 
 namespace sgxb {
 
+// Strict unsigned decimal: one or more digits and nothing else (no sign,
+// whitespace or base prefix), no larger than UINT64_MAX. Returns false on
+// anything else and then leaves *out unchanged.
+bool ParseUint(const std::string& text, uint64_t* out);
+
+// A non-empty comma-separated list of ParseUint values, each >= `min`; an
+// empty item (",," or a trailing comma) is rejected. Replaces *out only on
+// success.
+bool ParseUintList(const std::string& csv, uint64_t min, std::vector<uint64_t>* out);
+
 class FlagParser {
  public:
   void AddInt(const std::string& name, int64_t* target, const std::string& help);

@@ -56,12 +56,12 @@ bool IsInFieldIrAccess(const IrDefMap& defs, const IrInstr& access,
 
 // A natural counted loop in canonical builder form.
 struct LoopInfo {
-  uint32_t preheader;
-  uint32_t header;
-  ValueId iv;        // the induction phi
-  ValueId start;     // incoming from preheader
-  ValueId bound;     // loop-invariant bound (icmp slt iv, bound)
-  int64_t step;      // constant increment
+  uint32_t preheader = 0;
+  uint32_t header = 0;
+  ValueId iv = 0;     // the induction phi
+  ValueId start = 0;  // incoming from preheader
+  ValueId bound = 0;  // loop-invariant bound (icmp slt iv, bound)
+  int64_t step = 0;   // constant increment
   std::vector<uint32_t> body_blocks;
 };
 

@@ -3,17 +3,16 @@
 // TraceReader decodes the compact byte stream sequentially, carrying a
 // mutable delta context (current cpu, last address, open parallel regions).
 // That makes a raw Trace cheap to store but expensive to replay repeatedly:
-// every ReplayTrace call re-pays the varint/zigzag decode. A DecodedTrace
-// front-loads that cost — one pass through TraceReader materializes a flat,
+// each replay from the raw bytes re-pays the varint/zigzag decode. A
+// DecodedTrace front-loads that cost — one pass through TraceReader materializes a flat,
 // absolute-operand event array plus side tables for the two bulky payloads
 // (compute deltas, loop-run phases) — and is immutable afterwards, so any
 // number of replays, on any number of host threads, can iterate it
 // concurrently without re-parsing or synchronization. This is the shared
 // substrate of the parallel sweep engine (src/trace/sweep.h).
 //
-// The decode uses the one TraceReader implementation, so the decoded event
-// sequence is definitionally identical to what a streaming replay sees:
-// ReplayDecoded(DecodedTrace(t), cfg) == ReplayTrace(t, cfg) bit-for-bit.
+// Every replay path goes through a DecodedTrace built by the one TraceReader
+// implementation; ReplayTrace(t, cfg) is ReplayDecoded(DecodedTrace(t), cfg).
 //
 // Sizing: the decode is one pass that writes each output page exactly once.
 // The event array is reserved at min(summary event count, encoded bytes),
@@ -76,7 +75,7 @@ class DecodedTrace {
   const LoopPhase* phases(uint32_t aux) const { return &phases_[aux]; }
 
   // FNV-1a of the encoded stream this was decoded from: the trace half of
-  // the sweep engine's memoization key. For complete traces this equals
+  // the sweep engine's duplicate key. For complete traces this equals
   // summary().stream_hash; truncated prefixes hash the retained bytes.
   uint64_t stream_hash() const { return stream_hash_; }
   uint64_t event_count() const { return events_.size(); }

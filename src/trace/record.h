@@ -1,6 +1,6 @@
 // Workload-level record/replay helpers: glue between the trace subsystem and
-// the workload registry, used by bench/trace_tool and the replay-backed
-// sweep modes of the figure drivers.
+// the workload registry, used by bench/trace_tool, bench/sweep_tool and
+// fig08_working_set's trace-backed EPC sweep.
 
 #ifndef SGXBOUNDS_SRC_TRACE_RECORD_H_
 #define SGXBOUNDS_SRC_TRACE_RECORD_H_
@@ -36,28 +36,17 @@ inline RecordedRun RecordWorkloadRun(const WorkloadInfo& info, PolicyKind kind,
 
 // Presents a replay outcome in live-run clothing so the figure drivers'
 // table printers work unchanged on replayed data.
-inline RunResult ToRunResult(const ReplayResult& replay, const TraceHeader& header,
-                             const TraceSummary& summary) {
+inline RunResult ToRunResult(const ReplayResult& replay, const DecodedTrace& trace) {
   RunResult out;
-  out.kind = static_cast<PolicyKind>(header.policy);
+  out.kind = static_cast<PolicyKind>(trace.header().policy);
   out.cycles = replay.cycles;
   out.peak_vm_bytes = replay.peak_vm_bytes;
   out.counters = replay.counters;
   out.crashed = replay.crashed;
   out.trap = static_cast<TrapKind>(replay.trap_kind);
-  out.trap_message = summary.trap_message;
+  out.trap_message = trace.summary().trap_message;
   out.mpx_bt_count = replay.mpx_bt_count;
   return out;
-}
-
-inline RunResult ToRunResult(const ReplayResult& replay, const Trace& trace) {
-  return ToRunResult(replay, trace.header, trace.summary);
-}
-
-// DecodedTrace carries the same header/summary; used by the sweep-backed
-// figure modes (src/trace/sweep.h).
-inline RunResult ToRunResult(const ReplayResult& replay, const DecodedTrace& trace) {
-  return ToRunResult(replay, trace.header(), trace.summary());
 }
 
 }  // namespace sgxb

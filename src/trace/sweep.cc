@@ -2,6 +2,7 @@
 
 #include <map>
 #include <tuple>
+#include <unordered_map>
 
 #include "src/common/host_parallel.h"
 
@@ -17,8 +18,8 @@ uint64_t FnvFold(uint64_t h, uint64_t v) {
   return h;
 }
 
-}  // namespace
-
+// Stable FNV-1a over every SimConfig field; the bucket index of the
+// duplicate key (equality is decided by operator==, never by this hash).
 uint64_t SimConfigHash(const SimConfig& config) {
   uint64_t h = 14695981039346656037ull;
   h = FnvFold(h, config.l1_bytes);
@@ -40,30 +41,37 @@ uint64_t SimConfigHash(const SimConfig& config) {
   return h;
 }
 
+struct RequestKey {
+  uint64_t trace_hash = 0;
+  SimConfig config;
+  bool operator==(const RequestKey& other) const {
+    return trace_hash == other.trace_hash && config == other.config;
+  }
+};
+
+struct RequestKeyHash {
+  size_t operator()(const RequestKey& key) const {
+    return static_cast<size_t>(key.trace_hash ^ SimConfigHash(key.config));
+  }
+};
+
+}  // namespace
+
 SweepEngine::SweepEngine(const SweepOptions& options) : options_(options) {}
 
 std::vector<ReplayResult> SweepEngine::Run(const std::vector<SweepRequest>& requests) {
   std::vector<ReplayResult> out(requests.size());
   stats_.requests += requests.size();
 
-  // Phase A (serial): memo lookups, then fold in-batch duplicates onto one
-  // canonical request each. Doing all dedup before dispatch keeps SweepStats
-  // a pure function of the request sequence — no thread-count dependence.
+  // Phase A (serial): fold in-batch duplicates onto one canonical request
+  // each. Doing all dedup before dispatch keeps SweepStats a pure function
+  // of the request sequence — no thread-count dependence.
   std::vector<size_t> canon;                       // canonical request indices
   std::vector<std::vector<size_t>> copies(requests.size());
-  std::unordered_map<MemoKey, size_t, MemoKeyHash> seen;
+  std::unordered_map<RequestKey, size_t, RequestKeyHash> seen;
   for (size_t i = 0; i < requests.size(); ++i) {
     const SweepRequest& r = requests[i];
-    const MemoKey key{r.trace->stream_hash(), r.config};
-    if (options_.memoize) {
-      const auto hit = memo_.find(key);
-      if (hit != memo_.end()) {
-        out[i] = hit->second;
-        ++stats_.memo_hits;
-        continue;
-      }
-    }
-    const auto ins = seen.emplace(key, i);
+    const auto ins = seen.emplace(RequestKey{r.trace->stream_hash(), r.config}, i);
     if (!ins.second) {
       copies[ins.first->second].push_back(i);
       ++stats_.memo_hits;
@@ -104,11 +112,9 @@ std::vector<ReplayResult> SweepEngine::Run(const std::vector<SweepRequest>& requ
   // it only pays off when a group has at least two members; singletons go
   // straight to full replay in phase D.
   std::vector<size_t> capture_groups;
-  if (options_.use_capture) {
-    for (size_t g = 0; g < groups.size(); ++g) {
-      if (groups[g].members.size() >= 2) {
-        capture_groups.push_back(g);
-      }
+  for (size_t g = 0; g < groups.size(); ++g) {
+    if (groups[g].members.size() >= 2) {
+      capture_groups.push_back(g);
     }
   }
   ParallelForWorkStealing(capture_groups.size(), threads, [&](size_t i) {
@@ -149,16 +155,10 @@ std::vector<ReplayResult> SweepEngine::Run(const std::vector<SweepRequest>& requ
     }
   }
 
-  // Phase E (serial): fan results out to in-batch duplicates and publish to
-  // the memo for future Run() calls.
-  for (size_t k = 0; k < canon.size(); ++k) {
-    const size_t i = canon[k];
+  // Phase E (serial): fan results out to in-batch duplicates.
+  for (size_t i : canon) {
     for (size_t j : copies[i]) {
       out[j] = out[i];
-    }
-    if (options_.memoize) {
-      memo_.emplace(MemoKey{requests[i].trace->stream_hash(), requests[i].config},
-                    out[i]);
     }
   }
   return out;

@@ -4,7 +4,8 @@
 // under one SimConfig. Run() answers a whole batch, choosing per request the
 // cheapest sound tier (see src/trace/trace_replay.h):
 //
-//   1. memo hit      — (stream hash, full SimConfig) already answered;
+//   1. duplicate     — a request equal to an earlier one in the batch
+//                      (stream hash, full SimConfig) shares its answer;
 //   2. capture       — requests sharing a trace and a cache geometry are
 //                      grouped; one ConfigSweeper capture per group answers
 //                      every EPC-size / cost-table / enclave-mode variant by
@@ -19,19 +20,16 @@
 // every tier is bit-identical to a sequential full replay, so the output
 // (and anything printed from it) is byte-identical for any thread count.
 //
-// The memo key pairs the FNV-1a stream hash with the FULL SimConfig (not a
-// config hash): equal keys therefore guarantee equal results, and a hash
-// collision costs a bucket probe, never a wrong answer. The memo persists
-// across Run() calls; duplicates inside one batch are folded before
-// dispatch, which also keeps SweepStats independent of the thread count.
+// Duplicates are folded before dispatch, which keeps SweepStats a function
+// of the request sequence alone. The duplicate key pairs the FNV-1a stream
+// hash with the FULL SimConfig (compared field by field, not by a config
+// hash), so equal keys guarantee equal results. Nothing is kept across
+// Run() calls.
 
 #ifndef SGXBOUNDS_SRC_TRACE_SWEEP_H_
 #define SGXBOUNDS_SRC_TRACE_SWEEP_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "src/trace/decoded_trace.h"
@@ -39,26 +37,20 @@
 
 namespace sgxb {
 
-// Stable FNV-1a over every SimConfig field; the bucket-index half of the
-// memo key (equality is decided by operator==, never by this hash).
-uint64_t SimConfigHash(const SimConfig& config);
-
 struct SweepRequest {
   const DecodedTrace* trace = nullptr;  // borrowed; must outlive Run()
   SimConfig config;
 };
 
 struct SweepOptions {
-  uint32_t threads = 0;      // 0 = HostHardwareThreads()
-  bool memoize = true;       // reuse results across Run() calls
-  bool use_capture = true;   // false = force full replay (verification mode)
+  uint32_t threads = 0;  // 0 = HostHardwareThreads()
 };
 
 // Cumulative across Run() calls; deterministic for a given request sequence
 // regardless of the thread count.
 struct SweepStats {
   uint64_t requests = 0;         // total requests seen
-  uint64_t memo_hits = 0;        // answered from the memo (incl. in-batch dups)
+  uint64_t memo_hits = 0;        // in-batch duplicates answered by an earlier request
   uint64_t captures_built = 0;   // full replays spent building captures
   uint64_t capture_replays = 0;  // requests answered by capture re-pricing
   uint64_t full_replays = 0;     // requests answered by full replay
@@ -73,25 +65,9 @@ class SweepEngine {
   std::vector<ReplayResult> Run(const std::vector<SweepRequest>& requests);
 
   const SweepStats& stats() const { return stats_; }
-  size_t memo_size() const { return memo_.size(); }
-  void ClearMemo() { memo_.clear(); }
 
  private:
-  struct MemoKey {
-    uint64_t trace_hash = 0;
-    SimConfig config;
-    bool operator==(const MemoKey& other) const {
-      return trace_hash == other.trace_hash && config == other.config;
-    }
-  };
-  struct MemoKeyHash {
-    size_t operator()(const MemoKey& key) const {
-      return static_cast<size_t>(key.trace_hash ^ SimConfigHash(key.config));
-    }
-  };
-
   SweepOptions options_;
-  std::unordered_map<MemoKey, ReplayResult, MemoKeyHash> memo_;
   SweepStats stats_;
 };
 

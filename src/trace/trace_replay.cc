@@ -353,9 +353,6 @@ ConfigSweeper::ConfigSweeper(const DecodedTrace& trace, const SimConfig& base)
   base_ = ReplayDecodedImpl(trace, base, &capture);
 }
 
-ConfigSweeper::ConfigSweeper(const Trace& trace, const SimConfig& base)
-    : ConfigSweeper(DecodedTrace(trace), base) {}
-
 bool ConfigSweeper::CaptureCovers(const SimConfig& base, const SimConfig& cfg) {
   // Cache geometry shapes the hit/miss pattern the capture froze.
   if (base.l1_bytes != cfg.l1_bytes || base.l1_ways != cfg.l1_ways ||

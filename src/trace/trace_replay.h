@@ -11,14 +11,14 @@
 // WOULD have produced, which is what turns one execution into an arbitrary
 // configuration sweep.
 //
-// Three tiers, fastest first:
+// Two tiers over a shared DecodedTrace, fastest first:
 //   ConfigSweeper::Replay   — structural capture re-pricing (EPC size, cost
 //                             table, enclave mode; cache geometry fixed)
-//   ReplayDecoded           — full replay over a shared DecodedTrace (any
-//                             config; decode amortized across replays)
-//   ReplayTrace             — decode + full replay (one-shot convenience)
-// All three produce bit-identical results for the configurations they
-// cover; tests/trace_test.cc asserts the equivalences.
+//   ReplayDecoded           — full replay (any config; decode amortized
+//                             across replays)
+// ReplayTrace is the one-shot convenience that decodes, then runs
+// ReplayDecoded. Every path produces bit-identical results for the
+// configurations it covers; tests/trace_test.cc asserts the equivalences.
 
 #ifndef SGXBOUNDS_SRC_TRACE_TRACE_REPLAY_H_
 #define SGXBOUNDS_SRC_TRACE_TRACE_REPLAY_H_
@@ -80,10 +80,7 @@ inline ReplayResult ReplayTrace(const Trace& trace) {
 //     fall back to full replay.
 class ConfigSweeper {
  public:
-  // Captures from a decoded stream (preferred: the decode is shared).
   ConfigSweeper(const DecodedTrace& trace, const SimConfig& base);
-  // Legacy convenience: decodes internally.
-  ConfigSweeper(const Trace& trace, const SimConfig& base);
 
   // True when `cfg` is derivable from a capture under `base`.
   static bool CaptureCovers(const SimConfig& base, const SimConfig& cfg);
@@ -93,16 +90,8 @@ class ConfigSweeper {
   // ReplayDecoded(trace, cfg), bit-identical counters included.
   ReplayResult Replay(const SimConfig& cfg) const;
 
-  // EPC-axis shorthand (the fig08 working-set sweep).
-  ReplayResult ReplayAt(uint64_t epc_bytes) const {
-    SimConfig cfg = config_;
-    cfg.epc_bytes = epc_bytes;
-    return Replay(cfg);
-  }
-
   // The structural replay's own result (at `base`).
   const ReplayResult& base_result() const { return base_; }
-  const SimConfig& base_config() const { return config_; }
 
  private:
   friend struct SweepCapture;
@@ -137,9 +126,6 @@ class ConfigSweeper {
   std::vector<SegCounts> segs_;
   std::vector<Op> ops_;
 };
-
-// The EPC-size sweeper predates the generalized capture; same object.
-using EpcSweeper = ConfigSweeper;
 
 }  // namespace sgxb
 

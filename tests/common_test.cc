@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "src/common/flags.h"
 #include "src/common/ir_engine.h"
@@ -178,6 +181,165 @@ TEST(FlagsTest, ParsesTypedFlags) {
   EXPECT_EQ(name, "fig7");
   ASSERT_EQ(positional.size(), 1u);
   EXPECT_EQ(positional[0], "pos");
+}
+
+TEST(FlagsTest, ParseUintAcceptsOnlyPlainDecimal) {
+  struct Case {
+    const char* text;
+    bool ok;
+    uint64_t value;
+  };
+  const Case cases[] = {
+      {"0", true, 0},
+      {"94", true, 94},
+      {"007", true, 7},
+      {"18446744073709551615", true, UINT64_MAX},
+      {"18446744073709551616", false, 0},
+      {"99999999999999999999", false, 0},
+      {"", false, 0},
+      {"-1", false, 0},
+      {"+1", false, 0},
+      {" 1", false, 0},
+      {"1 ", false, 0},
+      {"0x10", false, 0},
+      {"1e3", false, 0},
+      {"1.0", false, 0},
+      {"3x2", false, 0},
+  };
+  for (const Case& c : cases) {
+    uint64_t v = 12345;
+    EXPECT_EQ(ParseUint(c.text, &v), c.ok) << "'" << c.text << "'";
+    EXPECT_EQ(v, c.ok ? c.value : 12345u) << "'" << c.text << "'";
+  }
+}
+
+TEST(FlagsTest, ParseUintListDirected) {
+  std::vector<uint64_t> v;
+  ASSERT_TRUE(ParseUintList("8,16,94", 1, &v));
+  EXPECT_EQ(v, (std::vector<uint64_t>{8, 16, 94}));
+  ASSERT_TRUE(ParseUintList("0,2", 0, &v));
+  EXPECT_EQ(v, (std::vector<uint64_t>{0, 2}));
+  const std::vector<uint64_t> kept = v;
+  for (const char* bad : {"", ",", "8,", ",8", "8,,16", "abc", "8,3x2", "8,-1", "8, 16",
+                          "8,18446744073709551616"}) {
+    EXPECT_FALSE(ParseUintList(bad, 0, &v)) << "'" << bad << "'";
+    EXPECT_EQ(v, kept) << "a rejected list must leave the output alone: '" << bad << "'";
+  }
+  EXPECT_FALSE(ParseUintList("0,2", 1, &v)) << "values below min are rejected";
+  EXPECT_EQ(v, kept);
+}
+
+// Independent reference for ParseUintList: a character scanner that collects
+// each item as a digit string and range-checks it by string comparison.
+bool ReferenceUintList(const std::string& csv, uint64_t min, std::vector<uint64_t>* out) {
+  std::vector<std::string> items(1);
+  for (const char c : csv) {
+    if (c == ',') {
+      items.emplace_back();
+    } else if (std::isdigit(static_cast<unsigned char>(c))) {
+      items.back() += c;
+    } else {
+      return false;
+    }
+  }
+  std::vector<uint64_t> values;
+  for (const std::string& item : items) {
+    if (item.empty()) {
+      return false;
+    }
+    const size_t first = item.find_first_not_of('0');
+    const std::string digits = first == std::string::npos ? "0" : item.substr(first);
+    if (digits.size() > 20 || (digits.size() == 20 && digits > "18446744073709551615")) {
+      return false;
+    }
+    values.push_back(std::stoull(digits));
+    if (values.back() < min) {
+      return false;
+    }
+  }
+  *out = values;
+  return true;
+}
+
+// Seeded mutants of well-formed lists (inserted, deleted, replaced and
+// duplicated characters, including signs, whitespace and NUL): every mutant
+// is either rejected, leaving the output alone, or parsed to exactly the
+// reference's values. Nothing is accepted with different contents.
+TEST(FlagsTest, ParseUintListMatchesReferenceOnSeededMutants) {
+  const std::string seeds[] = {"8,16,94", "1,4,94", "0", "50000,200000,800000",
+                               "18446744073709551615", "18446744073709551616,1"};
+  const std::string alphabet("0123456789,,-+ \tx.e\0", 20);
+  Rng rng(2017);
+  size_t accepted = 0;
+  size_t rejected = 0;
+  for (int round = 0; round < 4000; ++round) {
+    std::string m = seeds[rng.NextBounded(std::size(seeds))];
+    const uint64_t ops = 1 + rng.NextBounded(3);
+    for (uint64_t op = 0; op < ops; ++op) {
+      const size_t at = rng.NextBounded(m.size() + 1);
+      const char c = alphabet[rng.NextBounded(alphabet.size())];
+      switch (rng.NextBounded(4)) {
+        case 0:
+          m.insert(m.begin() + at, c);
+          break;
+        case 1:
+          if (at < m.size()) {
+            m.erase(at, 1);
+          }
+          break;
+        case 2:
+          if (at < m.size()) {
+            m[at] = c;
+          }
+          break;
+        default:
+          m.insert(at, m.substr(at, rng.NextBounded(4)));
+          break;
+      }
+    }
+    for (const uint64_t min : {uint64_t{0}, uint64_t{1}}) {
+      std::vector<uint64_t> got = {424242};
+      std::vector<uint64_t> want;
+      const bool ok = ParseUintList(m, min, &got);
+      ASSERT_EQ(ok, ReferenceUintList(m, min, &want)) << "mutant '" << m << "'";
+      if (ok) {
+        EXPECT_EQ(got, want) << "mutant '" << m << "'";
+        ++accepted;
+      } else {
+        EXPECT_EQ(got, std::vector<uint64_t>{424242}) << "mutant '" << m << "'";
+        ++rejected;
+      }
+      if (m.find(',') == std::string::npos) {
+        uint64_t one = 0;
+        ASSERT_EQ(ParseUint(m, &one), ReferenceUintList(m, 0, &want)) << "'" << m << "'";
+      }
+    }
+  }
+  // The mutation mix must exercise both outcomes.
+  EXPECT_GT(accepted, 500u);
+  EXPECT_GT(rejected, 500u);
+}
+
+TEST(FlagsTest, MalformedUnsignedFlagsExitNamingTheFlag) {
+  for (const char* arg : {"--epc=", "--epc=-1", "--epc=abc", "--epc=18446744073709551616"}) {
+    FlagParser parser;
+    uint64_t epc = 94;
+    parser.AddUint("epc", &epc, "");
+    const char* argv[] = {"prog", arg};
+    EXPECT_EXIT(parser.Parse(2, const_cast<char**>(argv)), ::testing::ExitedWithCode(2),
+                "invalid value '.*' for flag --epc")
+        << arg;
+  }
+  for (const char* arg : {"--mibs=", "--mibs=abc", "--mibs=8,3x2", "--mibs=8,0", "--mibs=-1"}) {
+    FlagParser parser;
+    std::vector<uint64_t> mibs;
+    parser.AddCallback(
+        "mibs", [&](const std::string& v) { return ParseUintList(v, 1, &mibs); }, "", "");
+    const char* argv[] = {"prog", arg};
+    EXPECT_EXIT(parser.Parse(2, const_cast<char**>(argv)), ::testing::ExitedWithCode(2),
+                "invalid value '.*' for flag --mibs")
+        << arg;
+  }
 }
 
 TEST(FlagsTest, IrEngineNamesRoundTrip) {

@@ -5,8 +5,8 @@
 // LOUDLY, with a decoded event-level diff of the first divergences.
 //
 // If the change is intentional (new encoding, deliberate behaviour change),
-// regenerate with:
-//   trace_tool record --workload=kmeans --size=XS --policy=sgxbounds \
+// regenerate with (one command line):
+//   trace_tool record --workload=kmeans --size=XS --policy=sgxbounds
 //     --event_limit=2048 --out=tests/golden/kmeans_xs_sgxbounds.sgxtrace
 // and say so in the commit message.
 

@@ -1,8 +1,8 @@
 // End-to-end tests of the trace record/replay subsystem: a same-configuration
 // replay must reproduce the live run's PerfCounters and cycle totals
 // bit-for-bit (every field, every workload shape — single- and multi-threaded,
-// completed and crashed), the EPC sweeper must match a full per-point replay
-// exactly, and the record-once/replay-many sweep must beat live re-execution
+// completed and crashed), the capture sweeper must match a full per-point
+// replay exactly, and the record-once/replay-many sweep must beat live re-execution
 // by the margin the subsystem exists for.
 
 #include <gtest/gtest.h>
@@ -175,10 +175,11 @@ TEST(TraceReplay, TransitionsOffLeavesTracesAtV1) {
 
 // The sweeper's shortcut (EPC faults never change cache behaviour) must be
 // invisible: at every EPC size its result equals a full replay at that size.
-TEST(EpcSweeper, MatchesFullReplayAtEverySize) {
+TEST(ConfigSweeper, MatchesFullReplayOnEveryEpcSize) {
   const RecordedRun rec = Record("kmeans", PolicyKind::kSgxBounds, SizeClass::kXS);
   const SimConfig base = SimConfigFromHeader(rec.trace.header);
-  const EpcSweeper sweeper(rec.trace, base);
+  const DecodedTrace decoded(rec.trace);
+  const ConfigSweeper sweeper(decoded, base);
 
   EXPECT_EQ(sweeper.base_result().cycles, rec.live.cycles);
 
@@ -187,7 +188,7 @@ TEST(EpcSweeper, MatchesFullReplayAtEverySize) {
     SimConfig cfg = base;
     cfg.epc_bytes = mib * kMiB;
     const ReplayResult full = ReplayTrace(rec.trace, cfg);
-    const ReplayResult swept = sweeper.ReplayAt(mib * kMiB);
+    const ReplayResult swept = sweeper.Replay(cfg);
     EXPECT_EQ(swept.cycles, full.cycles) << mib << " MiB";
     EXPECT_EQ(swept.counters.cycles, full.counters.cycles) << mib << " MiB";
     EXPECT_EQ(swept.counters.epc_faults, full.counters.epc_faults) << mib << " MiB";
@@ -200,7 +201,7 @@ TEST(EpcSweeper, MatchesFullReplayAtEverySize) {
 // The point of the subsystem: a record-once/replay-many EPC sweep beats
 // re-executing the workload per point by >=3x wall-clock, while producing an
 // identical cycle series. 12 points, generous margin (typically 5-8x here).
-TEST(EpcSweeper, SweepBeatsLiveReexecutionThreefold) {
+TEST(ConfigSweeper, SweepBeatsLiveReexecutionThreefold) {
   using Clock = std::chrono::steady_clock;
   const WorkloadInfo* info = WorkloadRegistry::Instance().Find("kmeans");
   ASSERT_NE(info, nullptr);
@@ -223,10 +224,14 @@ TEST(EpcSweeper, SweepBeatsLiveReexecutionThreefold) {
   const auto replay_start = Clock::now();
   const RecordedRun rec =
       RecordWorkloadRun(*info, PolicyKind::kSgxBounds, MachineSpec{}, PolicyOptions{}, cfg);
-  const EpcSweeper sweeper(rec.trace, SimConfigFromHeader(rec.trace.header));
+  const DecodedTrace decoded(rec.trace);
+  const SimConfig base = SimConfigFromHeader(decoded.header());
+  const ConfigSweeper sweeper(decoded, base);
   std::vector<uint64_t> swept_cycles;
   for (uint64_t mib : mibs) {
-    swept_cycles.push_back(sweeper.ReplayAt(mib * kMiB).cycles);
+    SimConfig point = base;
+    point.epc_bytes = mib * kMiB;
+    swept_cycles.push_back(sweeper.Replay(point).cycles);
   }
   const double replay_s =
       std::chrono::duration<double>(Clock::now() - replay_start).count();
@@ -419,8 +424,8 @@ TEST(SweepEngine, MatchesSequentialReplayOnSampledGrid) {
 }
 
 // --bench_threads must never change results: the same grid swept on 1, 4 and
-// 16 threads produces identical ReplayResults AND identical stats (the
-// dedup/memo accounting is resolved before dispatch, not by racing workers).
+// 16 threads produces identical ReplayResults AND identical stats (duplicate
+// folding is resolved before dispatch, not by racing workers).
 TEST(SweepEngine, ThreadCountInvariance) {
   const RecordedRun rec = Record("wordcount", PolicyKind::kSgxBounds, SizeClass::kXS);
   const DecodedTrace decoded(rec.trace);
@@ -463,20 +468,8 @@ TEST(SweepEngine, ThreadCountInvariance) {
     EXPECT_EQ(per_stats[t].full_replays, per_stats[0].full_replays);
   }
 
-  // Re-running the same grid on the same engine must answer from the memo.
-  SweepOptions opt;
-  opt.threads = 4;
-  SweepEngine engine(opt);
-  const std::vector<ReplayResult> first = engine.Run(grid);
-  const uint64_t replays_after_first =
-      engine.stats().capture_replays + engine.stats().full_replays;
-  const std::vector<ReplayResult> second = engine.Run(grid);
-  EXPECT_EQ(engine.stats().capture_replays + engine.stats().full_replays,
-            replays_after_first)
-      << "second pass should be pure memo hits";
-  for (size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_EQ(second[i].cycles, first[i].cycles) << "memoized request " << i;
-  }
+  EXPECT_EQ(per_stats[0].memo_hits, 1u) << "the in-batch duplicate must be folded";
+  EXPECT_EQ(per_threads[0].back().cycles, per_threads[0].front().cycles);
 }
 
 }  // namespace
