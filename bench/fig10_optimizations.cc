@@ -22,7 +22,6 @@
 #include "src/ir/interp.h"
 #include "src/ir/opt/pipeline.h"
 #include "src/policy/run.h"
-#include "src/policy/scheme_ir.h"
 
 namespace sgxb {
 namespace {
@@ -188,12 +187,11 @@ RunResult RunKernelUnder(PolicyKind kind, const IrFunction& proto,
                          const PolicyOptions& options) {
   MachineSpec spec;
   return RunPolicyKind(kind, spec, options, [&proto](auto& env) {
-    using P = std::decay_t<decltype(env.policy)>;
     IrFunction fn = proto;
     StackAllocator stack(&env.enclave, 1 * kMiB, "ir-stack");
     Interpreter interp(&env.enclave, &env.heap, &stack);
     interp.set_engine(env.options.ir_engine);
-    env.pass_stats.Accumulate(SchemeIrLowering<P>::Apply(env.policy, interp, fn, env.options));
+    env.pass_stats.Accumulate(env.policy.LowerIr(interp, fn));
     interp.Run(fn, env.cpu, {}, /*max_steps=*/UINT64_MAX);
   });
 }

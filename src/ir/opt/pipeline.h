@@ -1,8 +1,8 @@
 // The scheme-generic check-optimization pipeline (paper SS4.4 + SS5.1,
 // extended with ShadowBound-style whole-program optimizations).
 //
-// Every registry scheme's SchemeIrLowering runs RunCheckPipeline with two
-// inputs:
+// Every registry scheme's IR lowering (PolicyFrontEnd::LowerIr) runs
+// RunCheckPipeline with two inputs:
 //
 //   CheckSchemeLowering - WHAT the scheme's instrumentation looks like
 //     (check opcodes, allocation symbol, gep masking, MPX's pointer-bounds

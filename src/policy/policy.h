@@ -1,29 +1,17 @@
-// Memory-safety policies: the four "compilations" of every workload.
+// Memory-safety policies: the "compilations" of every workload.
 //
 // The paper compiles each benchmark four ways: plain SGX (native), with
-// AddressSanitizer, with Intel MPX, and with SGXBounds. In this reproduction
-// each workload is a template over a Policy class that supplies pointer
-// representation, allocation, checked access, pointer-in-memory operations
-// and loop-span access - the observable effects of the four instrumentations.
+// AddressSanitizer, with Intel MPX, and with SGXBounds; this reproduction
+// adds two plugged-in schemes (l4ptr, shadow). Each workload is a template
+// over a policy class P, the moral equivalent of compiling the same C source
+// under a different instrumentation.
 //
-// The Policy concept (duck-typed; see native_policy.h for the reference):
-//
-//   using Ptr = ...;                  // pointer representation
-//   static constexpr PolicyKind kKind;
-//   Ptr   Malloc(Cpu&, uint32_t size);
-//   Ptr   Calloc(Cpu&, uint32_t count, uint32_t elem);
-//   void  Free(Cpu&, Ptr);
-//   Ptr   Offset(Cpu&, Ptr, int64_t delta);          // pointer arithmetic
-//   uint32_t AddrOf(Ptr) const;                      // raw enclave address
-//   T     Load<T>(Cpu&, Ptr);                        // checked access
-//   void  Store<T>(Cpu&, Ptr, T);
-//   T     LoadField<T>(Cpu&, Ptr, uint32_t off);     // provably-safe access
-//   void  StoreField<T>(Cpu&, Ptr, uint32_t off, T); //   (SS4.4 elision point)
-//   Ptr   LoadPtr(Cpu&, Ptr slot);                   // pointer-in-memory
-//   void  StorePtr(Cpu&, Ptr slot, Ptr value);       //   (MPX bndldx/bndstx point)
-//   Span  OpenSpan(Cpu&, Ptr base, uint64_t extent); // monotone-loop access
-//                                                    //   (SS4.4 hoisting point)
-//   void  Memcpy/Memset(Cpu&, ...);                  // libc-wrapper point
+// Every policy is one scheme class deriving from PolicyFrontEnd
+// (front_end.h), which defines the access API once - checked, field, span,
+// pointer-slot and libc-wrapper accesses plus the IR lowering hook - over
+// the scheme's own primitives: its pointer encoding, allocator, check and
+// runtime. This header holds what the front-end and the registry share: the
+// PolicyKind enum and the PolicyOptions switches.
 
 #ifndef SGXBOUNDS_SRC_POLICY_POLICY_H_
 #define SGXBOUNDS_SRC_POLICY_POLICY_H_

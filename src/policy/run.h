@@ -98,7 +98,7 @@ struct Env {
   // request positions via InjectNow.
   FaultInjector* faults = nullptr;
   // Check-pipeline statistics; IR-driven bodies accumulate the stats returned
-  // by SchemeIrLowering<P>::Apply here and the harness copies them into
+  // by policy.LowerIr here and the harness copies them into
   // RunResult.pass_stats.
   CheckPassStats pass_stats{};
 

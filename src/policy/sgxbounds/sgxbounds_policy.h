@@ -1,168 +1,58 @@
 // SGXBounds as a workload policy: tagged pointers travel through the program,
 // every access is bounds-checked, pointer-in-memory needs nothing special
-// (the tag rides in the 64-bit slot), and the SS4.4 optimizations map to
-// LoadField/StoreField (safe-access elision) and OpenSpan (check hoisting).
+// (the tag rides in the 64-bit slot), and the SS4.4 optimizations apply:
+// field accesses elide provably-safe checks, spans hoist one range check.
+// Under OobPolicy::kBoundless an out-of-bounds load is served from the
+// overlay or zero-filled (SS4.2).
 
 #ifndef SGXBOUNDS_SRC_POLICY_SGXBOUNDS_SGXBOUNDS_POLICY_H_
 #define SGXBOUNDS_SRC_POLICY_SGXBOUNDS_SGXBOUNDS_POLICY_H_
 
-#include "src/fault/fault.h"
-#include "src/policy/policy.h"
-#include "src/policy/registry.h"
+#include "src/policy/front_end.h"
 #include "src/sgxbounds/bounds_runtime.h"
 
 namespace sgxb {
 
-class SgxBoundsPolicy {
+class SgxBoundsPolicy final : public PolicyFrontEnd<SgxBoundsPolicy, TaggedPtr> {
  public:
   static constexpr PolicyKind kKind = PolicyKind::kSgxBounds;
+  static constexpr bool kElidesAndHoists = true;
 
   // Registry entry (defined in this scheme's scheme.cc).
   static const SchemeDescriptor& Descriptor();
 
-  using Ptr = TaggedPtr;
-
   SgxBoundsPolicy(Enclave* enclave, Heap* heap, const PolicyOptions& options)
-      : enclave_(enclave), rt_(enclave, heap, options.oob), options_(options) {
+      : PolicyFrontEnd(enclave, options), rt_(enclave, heap, options.oob) {
     rt_.boundless().set_exhaust_policy(options.overlay_exhaust);
   }
 
-  Ptr Malloc(Cpu& cpu, uint32_t size) { return rt_.Malloc(cpu, size); }
+  static uint32_t Addr(Ptr p) { return ExtractPtr(p); }
+  static Ptr Add(Ptr p, int64_t delta) { return TaggedAdd(p, delta); }
+  static uint64_t ToSlot(Ptr p) { return p; }
+  static Ptr FromSlot(uint64_t raw) { return raw; }
 
+  Ptr Malloc(Cpu& cpu, uint32_t size) { return rt_.Malloc(cpu, size); }
   Ptr AlignedAlloc(Cpu& cpu, uint32_t size, uint32_t align) {
     return rt_.MallocAligned(cpu, size, align);
   }
   Ptr Calloc(Cpu& cpu, uint32_t count, uint32_t elem) { return rt_.Calloc(cpu, count, elem); }
   void Free(Cpu& cpu, Ptr p) { rt_.Free(cpu, p); }
-
   Ptr Offset(Cpu& cpu, Ptr p, int64_t delta) { return rt_.PtrAdd(cpu, p, delta); }
 
-  uint32_t AddrOf(Ptr p) const { return ExtractPtr(p); }
-  static Ptr FromAddr(uint32_t addr) { return MakeTagged(addr, 0); }
-
-  template <typename T>
-  T Load(Cpu& cpu, Ptr p) {
-    return rt_.Load<T>(cpu, p);
+  // The full SS3.2 sequence: extract, LB footer load, two compares.
+  ResolvedAccess Check(Cpu& cpu, Ptr p, uint32_t size, AccessType type) {
+    return rt_.CheckAccess(cpu, p, size, type);
+  }
+  void CheckRange(Cpu& cpu, Ptr p, uint64_t extent_bytes) {
+    rt_.CheckRange(cpu, p, extent_bytes);
   }
 
-  template <typename T>
-  void Store(Cpu& cpu, Ptr p, T value) {
-    rt_.Store<T>(cpu, p, value);
-  }
-
-  // Checked access at a dynamic offset: the full SS3.2 sequence - masked
-  // arithmetic, extract, LB footer load, two compares.
-  template <typename T>
-  T LoadAt(Cpu& cpu, Ptr p, uint64_t off) {
-    cpu.Alu(1);
-    return rt_.Load<T>(cpu, TaggedAdd(p, static_cast<int64_t>(off)));
-  }
-
-  template <typename T>
-  void StoreAt(Cpu& cpu, Ptr p, uint64_t off, T value) {
-    cpu.Alu(1);
-    rt_.Store<T>(cpu, TaggedAdd(p, static_cast<int64_t>(off)), value);
-  }
-
-  // Provably-safe field access: with elision on, the compiler proved the
-  // offset in-bounds and emits a raw access (SS4.4 "safe memory accesses").
-  template <typename T>
-  T LoadField(Cpu& cpu, Ptr p, uint32_t off) {
-    if (options_.opt_safe_elision) {
-      cpu.Alu(1);
-      return enclave_->Load<T>(cpu, ExtractPtr(p) + off);
-    }
-    return rt_.Load<T>(cpu, TaggedAdd(p, off));
-  }
-
-  template <typename T>
-  void StoreField(Cpu& cpu, Ptr p, uint32_t off, T value) {
-    if (options_.opt_safe_elision) {
-      cpu.Alu(1);
-      enclave_->Store<T>(cpu, ExtractPtr(p) + off, value);
-      return;
-    }
-    rt_.Store<T>(cpu, TaggedAdd(p, off), value);
-  }
-
-  // Pointer-in-memory: the tag is stored with the pointer, so a plain 8-byte
-  // load/store moves pointer and bounds atomically (SS4.1).
-  Ptr LoadPtr(Cpu& cpu, Ptr slot) {
-    const ResolvedAccess r = rt_.CheckAccess(cpu, slot, kPtrSlotBytes, AccessType::kRead);
-    if (r.zero_fill) {
-      return 0;
-    }
-    return enclave_->Load<uint64_t>(cpu, r.addr);
-  }
-
-  void StorePtr(Cpu& cpu, Ptr slot, Ptr value) {
-    const ResolvedAccess r = rt_.CheckAccess(cpu, slot, kPtrSlotBytes, AccessType::kWrite);
-    enclave_->Store<uint64_t>(cpu, r.addr, value);
-  }
-
-  // Loop span (SS4.4 "hoisting checks out of loops"): with hoisting on, one
-  // range check covers the whole extent and body accesses run unchecked; with
-  // hoisting off, every access pays the full check.
-  class Span {
-   public:
-    Span(SgxBoundsPolicy* policy, Ptr base, bool hoisted)
-        : policy_(policy), base_(base), hoisted_(hoisted) {}
-
-    template <typename T>
-    T Load(Cpu& cpu, uint64_t byte_off) {
-      if (hoisted_) {
-        cpu.Alu(1);
-        return policy_->enclave_->Load<T>(cpu,
-                                          ExtractPtr(base_) + static_cast<uint32_t>(byte_off));
-      }
-      return policy_->rt_.Load<T>(cpu, TaggedAdd(base_, static_cast<int64_t>(byte_off)));
-    }
-
-    template <typename T>
-    void Store(Cpu& cpu, uint64_t byte_off, T value) {
-      if (hoisted_) {
-        cpu.Alu(1);
-        policy_->enclave_->Store<T>(cpu, ExtractPtr(base_) + static_cast<uint32_t>(byte_off),
-                                    value);
-        return;
-      }
-      policy_->rt_.Store<T>(cpu, TaggedAdd(base_, static_cast<int64_t>(byte_off)), value);
-    }
-
-   private:
-    SgxBoundsPolicy* policy_;
-    Ptr base_;
-    bool hoisted_;
-  };
-
-  Span OpenSpan(Cpu& cpu, Ptr base, uint64_t extent_bytes) {
-    if (options_.opt_hoist_checks) {
-      rt_.CheckRange(cpu, base, extent_bytes);
-      return Span(this, base, /*hoisted=*/true);
-    }
-    return Span(this, base, /*hoisted=*/false);
-  }
-
-  void Memcpy(Cpu& cpu, Ptr dst, Ptr src, uint32_t n) {
-    if (n == 0) {
-      return;
-    }
-    // libc-wrapper semantics: check both args once, then bulk move.
-    const ResolvedAccess rs = rt_.CheckAccess(cpu, src, n, AccessType::kRead);
-    const ResolvedAccess rd = rt_.CheckAccess(cpu, dst, n, AccessType::kWrite);
-    cpu.MemAccess(rs.addr, n, AccessClass::kAppLoad);
-    cpu.MemAccess(rd.addr, n, AccessClass::kAppStore);
-    std::memmove(enclave_->space().HostPtr(rd.addr), enclave_->space().HostPtr(rs.addr), n);
-  }
-
-  void Memset(Cpu& cpu, Ptr dst, uint8_t value, uint32_t n) {
-    if (n == 0) {
-      return;
-    }
-    const ResolvedAccess rd = rt_.CheckAccess(cpu, dst, n, AccessType::kWrite);
-    cpu.MemAccess(rd.addr, n, AccessClass::kAppStore);
-    std::memset(enclave_->space().HostPtr(rd.addr), value, n);
-  }
+  // Tagged-pointer lowering (kSgxCheck opcodes, "sgx" allocation symbol),
+  // runtime attached via the interpreter's dedicated SGXBounds hook. LB/UB
+  // are exact (no allocation padding floor), so in-field elision is not
+  // legal here; every other pass is.
+  static CheckSchemeLowering IrLowering() { return SgxBoundsCheckLowering(); }
+  void AttachIr(Interpreter& interp) { interp.AttachSgx(&rt_); }
 
   // Fault campaigns: metadata flips land in a live object's LB footer.
   void AttachFaults(FaultInjector* faults) {
@@ -171,13 +61,10 @@ class SgxBoundsPolicy {
         [this](Cpu& cpu, Rng& rng) { return rt_.CorruptLbFooter(cpu, rng); });
   }
 
-  Enclave* enclave() { return enclave_; }
   SgxBoundsRuntime& runtime() { return rt_; }
 
  private:
-  Enclave* enclave_;
   SgxBoundsRuntime rt_;
-  PolicyOptions options_;
 };
 
 }  // namespace sgxb

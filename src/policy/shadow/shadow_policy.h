@@ -3,10 +3,10 @@
 // check is one dependent shadow load (both bounds reconstructed from it)
 // instead of SGXBounds' pointer decode + LB footer load, and free() clears
 // the entries - adding use-after-free detection the paper's three schemes
-// lack. The SS4.4 optimizations map as for SGXBounds (LoadField/StoreField
-// elide provably-safe checks; OpenSpan hoists one range check), and the
-// scheme's registry defaults additionally switch on the three new pipeline
-// passes (redundant / pattern-loop / in-field elision).
+// lack. The anchor rides in the 64-bit pointer slot; the SS4.4
+// optimizations apply as for SGXBounds, and the scheme's registry defaults
+// additionally switch on the three new pipeline passes (redundant /
+// pattern-loop / in-field elision).
 //
 // The whole scheme lives in this directory; the rest of the repo sees it
 // only through the registry (scheme_list.h is the single registration line).
@@ -14,161 +14,51 @@
 #ifndef SGXBOUNDS_SRC_POLICY_SHADOW_SHADOW_POLICY_H_
 #define SGXBOUNDS_SRC_POLICY_SHADOW_SHADOW_POLICY_H_
 
-#include <cstring>
-
-#include "src/fault/fault.h"
-#include "src/policy/policy.h"
-#include "src/policy/registry.h"
+#include "src/policy/front_end.h"
 #include "src/policy/shadow/shadow_runtime.h"
 
 namespace sgxb {
 
-class ShadowPolicy {
+class ShadowPolicy final : public PolicyFrontEnd<ShadowPolicy, ShadowPtr> {
  public:
   static constexpr PolicyKind kKind = PolicyKind::kShadow;
+  static constexpr bool kElidesAndHoists = true;
 
   // Registry entry (defined in this scheme's scheme.cc).
   static const SchemeDescriptor& Descriptor();
 
-  using Ptr = ShadowPtr;
-
   ShadowPolicy(Enclave* enclave, Heap* heap, const PolicyOptions& options)
-      : enclave_(enclave), rt_(enclave, heap), options_(options) {}
+      : PolicyFrontEnd(enclave, options), rt_(enclave, heap) {}
+
+  static uint32_t Addr(Ptr p) { return ShAddr(p); }
+  static Ptr Add(Ptr p, int64_t delta) { return ShAdd(p, delta); }
+  static uint64_t ToSlot(Ptr p) { return p; }
+  static Ptr FromSlot(uint64_t raw) { return raw; }
 
   Ptr Malloc(Cpu& cpu, uint32_t size) { return rt_.Malloc(cpu, size); }
-
   Ptr AlignedAlloc(Cpu& cpu, uint32_t size, uint32_t align) {
     return rt_.MallocAligned(cpu, size, align);
   }
   Ptr Calloc(Cpu& cpu, uint32_t count, uint32_t elem) { return rt_.Calloc(cpu, count, elem); }
   void Free(Cpu& cpu, Ptr p) { rt_.Free(cpu, p); }
-
   Ptr Offset(Cpu& cpu, Ptr p, int64_t delta) { return rt_.PtrAdd(cpu, p, delta); }
 
-  uint32_t AddrOf(Ptr p) const { return ShAddr(p); }
-  static Ptr FromAddr(uint32_t addr) { return addr; }  // untagged: no bounds
-
-  template <typename T>
-  T Load(Cpu& cpu, Ptr p) {
-    const uint32_t addr = rt_.CheckAccess(cpu, p, sizeof(T), AccessType::kRead);
-    return enclave_->Load<T>(cpu, addr);
+  // One dependent shadow load at the anchor's granule.
+  ResolvedAccess Check(Cpu& cpu, Ptr p, uint32_t size, AccessType type) {
+    return ResolvedAccess{rt_.CheckAccess(cpu, p, size, type), false, false};
+  }
+  void CheckRange(Cpu& cpu, Ptr p, uint64_t extent_bytes) {
+    rt_.CheckRange(cpu, p, extent_bytes);
   }
 
-  template <typename T>
-  void Store(Cpu& cpu, Ptr p, T value) {
-    const uint32_t addr = rt_.CheckAccess(cpu, p, sizeof(T), AccessType::kWrite);
-    enclave_->Store<T>(cpu, addr, value);
+  // Anchor-tagged pointers (kMaskPtr arithmetic, exactly as SGXBounds) with
+  // kSchemeCheck/kSchemeCheckRange dispatched to ShadowRuntime. The 8-byte
+  // granule is the in-field elision floor: a constant offset below the
+  // object's rounded footprint can never trap.
+  static CheckSchemeLowering IrLowering() {
+    return TaggedSchemeCheckLowering(kShadowGranule);
   }
-
-  // Checked access at a dynamic offset: anchor-preserving add folds into
-  // addressing (one ALU op), then the shadow-load check.
-  template <typename T>
-  T LoadAt(Cpu& cpu, Ptr p, uint64_t off) {
-    cpu.Alu(1);
-    return Load<T>(cpu, ShAdd(p, static_cast<int64_t>(off)));
-  }
-
-  template <typename T>
-  void StoreAt(Cpu& cpu, Ptr p, uint64_t off, T value) {
-    cpu.Alu(1);
-    Store<T>(cpu, ShAdd(p, static_cast<int64_t>(off)), value);
-  }
-
-  // Provably-safe field access (SS4.4 "safe memory accesses"): elision emits
-  // a raw access on the untagged address - skipping the shadow load.
-  template <typename T>
-  T LoadField(Cpu& cpu, Ptr p, uint32_t off) {
-    if (options_.opt_safe_elision) {
-      cpu.Alu(1);
-      return enclave_->Load<T>(cpu, ShAddr(p) + off);
-    }
-    return Load<T>(cpu, ShAdd(p, off));
-  }
-
-  template <typename T>
-  void StoreField(Cpu& cpu, Ptr p, uint32_t off, T value) {
-    if (options_.opt_safe_elision) {
-      cpu.Alu(1);
-      enclave_->Store<T>(cpu, ShAddr(p) + off, value);
-      return;
-    }
-    Store<T>(cpu, ShAdd(p, off), value);
-  }
-
-  // Pointer-in-memory: the anchor rides in the 64-bit slot, so a plain
-  // 8-byte load/store moves pointer and provenance atomically - the same
-  // property SGXBounds gets from its tagged representation (SS4.1).
-  Ptr LoadPtr(Cpu& cpu, Ptr slot) {
-    const uint32_t addr = rt_.CheckAccess(cpu, slot, kPtrSlotBytes, AccessType::kRead);
-    return enclave_->Load<uint64_t>(cpu, addr);
-  }
-
-  void StorePtr(Cpu& cpu, Ptr slot, Ptr value) {
-    const uint32_t addr = rt_.CheckAccess(cpu, slot, kPtrSlotBytes, AccessType::kWrite);
-    enclave_->Store<uint64_t>(cpu, addr, value);
-  }
-
-  // Loop span (SS4.4 check hoisting): one range check, unchecked body.
-  class Span {
-   public:
-    Span(ShadowPolicy* policy, Ptr base, bool hoisted)
-        : policy_(policy), base_(base), hoisted_(hoisted) {}
-
-    template <typename T>
-    T Load(Cpu& cpu, uint64_t byte_off) {
-      if (hoisted_) {
-        cpu.Alu(1);
-        return policy_->enclave_->Load<T>(cpu,
-                                          ShAddr(base_) + static_cast<uint32_t>(byte_off));
-      }
-      return policy_->Load<T>(cpu, ShAdd(base_, static_cast<int64_t>(byte_off)));
-    }
-
-    template <typename T>
-    void Store(Cpu& cpu, uint64_t byte_off, T value) {
-      if (hoisted_) {
-        cpu.Alu(1);
-        policy_->enclave_->Store<T>(cpu, ShAddr(base_) + static_cast<uint32_t>(byte_off),
-                                    value);
-        return;
-      }
-      policy_->Store<T>(cpu, ShAdd(base_, static_cast<int64_t>(byte_off)), value);
-    }
-
-   private:
-    ShadowPolicy* policy_;
-    Ptr base_;
-    bool hoisted_;
-  };
-
-  Span OpenSpan(Cpu& cpu, Ptr base, uint64_t extent_bytes) {
-    if (options_.opt_hoist_checks) {
-      rt_.CheckRange(cpu, base, extent_bytes);
-      return Span(this, base, /*hoisted=*/true);
-    }
-    return Span(this, base, /*hoisted=*/false);
-  }
-
-  void Memcpy(Cpu& cpu, Ptr dst, Ptr src, uint32_t n) {
-    if (n == 0) {
-      return;
-    }
-    // Instrumented-libc semantics: check both args once, then bulk move.
-    const uint32_t src_addr = rt_.CheckAccess(cpu, src, n, AccessType::kRead);
-    const uint32_t dst_addr = rt_.CheckAccess(cpu, dst, n, AccessType::kWrite);
-    cpu.MemAccess(src_addr, n, AccessClass::kAppLoad);
-    cpu.MemAccess(dst_addr, n, AccessClass::kAppStore);
-    std::memmove(enclave_->space().HostPtr(dst_addr), enclave_->space().HostPtr(src_addr), n);
-  }
-
-  void Memset(Cpu& cpu, Ptr dst, uint8_t value, uint32_t n) {
-    if (n == 0) {
-      return;
-    }
-    const uint32_t dst_addr = rt_.CheckAccess(cpu, dst, n, AccessType::kWrite);
-    cpu.MemAccess(dst_addr, n, AccessClass::kAppStore);
-    std::memset(enclave_->space().HostPtr(dst_addr), value, n);
-  }
+  void AttachIr(Interpreter& interp) { interp.AttachScheme(&rt_); }
 
   // Shadow entries are in-memory metadata: the fault injector's
   // kMetadataFlip events hit them, like ASan's shadow bytes and MPX's
@@ -178,13 +68,10 @@ class ShadowPolicy {
         [this](Cpu& cpu, Rng& rng) { return rt_.CorruptShadowEntry(cpu, rng); });
   }
 
-  Enclave* enclave() { return enclave_; }
   ShadowRuntime& runtime() { return rt_; }
 
  private:
-  Enclave* enclave_;
   ShadowRuntime rt_;
-  PolicyOptions options_;
 };
 
 }  // namespace sgxb

@@ -21,7 +21,6 @@
 
 #include "src/ir/builder.h"
 #include "src/ir/interp.h"
-#include "src/policy/scheme_ir.h"
 #include "src/workloads/workload.h"
 
 namespace sgxb {
@@ -30,13 +29,13 @@ namespace {
 // Instruments `fn` for the policy, attaches the policy's runtime, and runs
 // the function on the selected engine. Returns the kernel's checksum. The
 // scheme's pass and runtime attachment come from its IR-lowering hook
-// (src/policy/<scheme>/ir_lowering.h) - no scheme is named here.
+// (PolicyFrontEnd::LowerIr) - no scheme is named here.
 template <typename P>
 uint64_t RunIrKernel(Env<P>& env, IrFunction fn) {
   StackAllocator stack(&env.enclave, 1 * kMiB, "ir-stack");
   Interpreter interp(&env.enclave, &env.heap, &stack);
   interp.set_engine(env.options.ir_engine);
-  env.pass_stats.Accumulate(SchemeIrLowering<P>::Apply(env.policy, interp, fn, env.options));
+  env.pass_stats.Accumulate(env.policy.LowerIr(interp, fn));
   return interp.Run(fn, env.cpu, {}, /*max_steps=*/UINT64_MAX);
 }
 
