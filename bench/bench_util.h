@@ -123,11 +123,12 @@ inline PolicyOptions ResolveOptions(PolicyOptions base) {
     base.opt_infield_elision = true;
     return base;
   }
-  size_t pos = 0;
-  while (pos <= csv.size()) {
-    const size_t comma = csv.find(',', pos);
-    const std::string item =
-        csv.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
+  std::vector<std::string> items;
+  if (!SplitCsv(csv, &items)) {
+    std::fprintf(stderr, "invalid --opts '%s': empty item\n", csv.c_str());
+    std::exit(2);
+  }
+  for (const std::string& item : items) {
     if (item == "safe") {
       base.opt_safe_elision = true;
     } else if (item == "hoist") {
@@ -145,10 +146,6 @@ inline PolicyOptions ResolveOptions(PolicyOptions base) {
                    item.c_str());
       std::exit(2);
     }
-    if (comma == std::string::npos) {
-      break;
-    }
-    pos = comma + 1;
   }
   return base;
 }

@@ -52,32 +52,24 @@ std::vector<FarmApp> ResolveApps(const std::string& csv) {
     }
     return apps;
   }
-  size_t pos = 0;
-  while (pos <= csv.size()) {
-    const size_t comma = csv.find(',', pos);
-    const std::string tok =
-        csv.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    if (!tok.empty()) {
-      FarmApp a;
-      if (!ParseFarmApp(tok, &a)) {
-        std::string valid;
-        for (const std::string& name : FarmAppChoices()) {
-          valid += valid.empty() ? name : "|" + name;
-        }
-        std::fprintf(stderr, "--apps: unknown app '%s' (valid: %s|all)\n", tok.c_str(),
-                     valid.c_str());
-        std::exit(2);
-      }
-      apps.push_back(a);
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    pos = comma + 1;
-  }
-  if (apps.empty()) {
-    std::fprintf(stderr, "--apps: empty list\n");
+  std::vector<std::string> names;
+  if (!SplitCsv(csv, &names)) {
+    std::fprintf(stderr, "--apps: '%s' is not a comma list without empty items\n",
+                 csv.c_str());
     std::exit(2);
+  }
+  for (const std::string& tok : names) {
+    FarmApp a;
+    if (!ParseFarmApp(tok, &a)) {
+      std::string valid;
+      for (const std::string& name : FarmAppChoices()) {
+        valid += valid.empty() ? name : "|" + name;
+      }
+      std::fprintf(stderr, "--apps: unknown app '%s' (valid: %s|all)\n", tok.c_str(),
+                   valid.c_str());
+      std::exit(2);
+    }
+    apps.push_back(a);
   }
   return apps;
 }

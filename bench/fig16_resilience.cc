@@ -51,32 +51,24 @@ std::vector<RecoveryMode> ResolveRecoveries(const std::string& csv) {
     }
     return out;
   }
-  size_t pos = 0;
-  while (pos <= csv.size()) {
-    const size_t comma = csv.find(',', pos);
-    const std::string tok =
-        csv.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    if (!tok.empty()) {
-      RecoveryMode m;
-      if (!ParseRecoveryMode(tok, &m)) {
-        std::string valid;
-        for (const std::string& name : RecoveryModeChoices()) {
-          valid += valid.empty() ? name : "|" + name;
-        }
-        std::fprintf(stderr, "--recoveries: unknown mode '%s' (valid: %s|all)\n",
-                     tok.c_str(), valid.c_str());
-        std::exit(2);
-      }
-      out.push_back(m);
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    pos = comma + 1;
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "--recoveries: empty list\n");
+  std::vector<std::string> names;
+  if (!SplitCsv(csv, &names)) {
+    std::fprintf(stderr, "--recoveries: '%s' is not a comma list without empty items\n",
+                 csv.c_str());
     std::exit(2);
+  }
+  for (const std::string& tok : names) {
+    RecoveryMode m;
+    if (!ParseRecoveryMode(tok, &m)) {
+      std::string valid;
+      for (const std::string& name : RecoveryModeChoices()) {
+        valid += valid.empty() ? name : "|" + name;
+      }
+      std::fprintf(stderr, "--recoveries: unknown mode '%s' (valid: %s|all)\n", tok.c_str(),
+                   valid.c_str());
+      std::exit(2);
+    }
+    out.push_back(m);
   }
   return out;
 }

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   parser.AddChoice("policy", &policy, PolicyChoices(), "memory-safety scheme");
   parser.AddChoice("size", &size, SizeClassChoices(), "input size class");
   parser.AddInt("threads", &threads, "worker threads");
-  parser.AddUint("epc_mb", &epc_mb, "usable EPC size in MiB");
+  parser.AddUint("epc_mb", &epc_mb, "usable EPC size in MiB", /*min=*/1);
   parser.AddBool("no_enclave", &no_enclave, "run outside the enclave (no EPC/MEE)");
   parser.AddBool("list", &list, "list registered workloads and exit");
   AddOptsFlag(parser);

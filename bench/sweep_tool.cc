@@ -39,22 +39,6 @@
 namespace sgxb {
 namespace {
 
-std::vector<std::string> SplitCsv(const std::string& csv) {
-  std::vector<std::string> out;
-  size_t pos = 0;
-  while (pos < csv.size()) {
-    size_t comma = csv.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = csv.size();
-    }
-    if (comma > pos) {
-      out.push_back(csv.substr(pos, comma - pos));
-    }
-    pos = comma + 1;
-  }
-  return out;
-}
-
 // FNV-fold a result into a digest: any single-bit divergence from the
 // sequential baseline shows up here (and fails --mode=verify outright).
 uint64_t FoldResult(uint64_t h, const ReplayResult& r) {
@@ -128,20 +112,34 @@ int Main(int argc, char** argv) {
                    "thread (the baseline); verify: both + bit-identity check");
   parser.AddChoice("modes", &modes, {"on", "off", "both"}, "enclave axis");
   parser.AddInt("sim_threads", &sim_threads, "simulated worker threads for recordings");
-  parser.AddUint("epc_points", &epc_points, "EPC axis: number of sizes");
-  parser.AddUint("epc_min_mib", &epc_min_mib, "EPC axis: smallest size (MiB)");
-  parser.AddUint("epc_max_mib", &epc_max_mib, "EPC axis: largest size (MiB)");
+  parser.AddUint("epc_points", &epc_points, "EPC axis: number of sizes", /*min=*/1);
+  parser.AddUint("epc_min_mib", &epc_min_mib, "EPC axis: smallest size (MiB)", /*min=*/1);
+  parser.AddUint("epc_max_mib", &epc_max_mib, "EPC axis: largest size (MiB)", /*min=*/1);
   parser.AddUint("cost_points", &cost_points,
-                 "cost axis: table i scales dram/mee_line/epc_fault by (100+50*i)%");
+                 "cost axis: table i scales dram/mee_line/epc_fault by (100+50*i)%",
+                 /*min=*/1);
   parser.AddUint("l3_points", &l3_points,
                  "L3 axis: geometry i halves the L3 i times; points past the first "
-                 "force the full-replay fallback");
+                 "force the full-replay fallback",
+                 /*min=*/1);
   AddPoliciesFlag(parser);
   AddBenchDriverFlags(parser);
   parser.Parse(argc, argv);
 
-  if (epc_points == 0 || cost_points == 0 || l3_points == 0) {
-    std::fprintf(stderr, "each axis needs at least one point\n");
+  if (epc_max_mib < epc_min_mib) {
+    std::fprintf(stderr, "--epc_max_mib (%llu) must be >= --epc_min_mib (%llu)\n",
+                 static_cast<unsigned long long>(epc_max_mib),
+                 static_cast<unsigned long long>(epc_min_mib));
+    return 2;
+  }
+  std::vector<std::string> trace_paths;
+  std::vector<std::string> workload_names;
+  if (!traces_csv.empty() && !SplitCsv(traces_csv, &trace_paths)) {
+    std::fprintf(stderr, "invalid value '%s' for flag --traces\n", traces_csv.c_str());
+    return 2;
+  }
+  if (traces_csv.empty() && !SplitCsv(workloads_csv, &workload_names)) {
+    std::fprintf(stderr, "invalid value '%s' for flag --workloads\n", workloads_csv.c_str());
     return 2;
   }
 
@@ -155,7 +153,7 @@ int Main(int argc, char** argv) {
   };
   std::vector<NamedTrace> traces;
   if (!traces_csv.empty()) {
-    for (const std::string& path : SplitCsv(traces_csv)) {
+    for (const std::string& path : trace_paths) {
       MappedTrace mapped;
       std::string error;
       if (!mapped.Load(path, &error)) {
@@ -172,7 +170,7 @@ int Main(int argc, char** argv) {
   } else {
     const std::vector<PolicyKind> policies = ResolvePolicies();
     std::vector<const WorkloadInfo*> workloads;
-    for (const std::string& name : SplitCsv(workloads_csv)) {
+    for (const std::string& name : workload_names) {
       const WorkloadInfo* w = WorkloadRegistry::Instance().Find(name);
       if (w == nullptr) {
         std::fprintf(stderr, "unknown workload '%s'\n", name.c_str());

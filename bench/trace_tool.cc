@@ -86,7 +86,7 @@ int Record(FlagParser& parser, int argc, char** argv) {
                    "recorded run; the injected accesses land in the trace like any others");
   parser.AddInt("threads", &threads, "simulated worker threads");
   parser.AddUint("seed", &seed, "workload rng seed");
-  parser.AddUint("epc_mib", &epc_mib, "usable EPC size in MiB");
+  parser.AddUint("epc_mib", &epc_mib, "usable EPC size in MiB", /*min=*/1);
   parser.AddBool("enclave", &enclave, "simulate inside the enclave");
   parser.AddUint("event_limit", &event_limit,
                  "retain only the first N events (golden prefix traces); 0 = all");

@@ -55,20 +55,35 @@ bool ParseUint(const std::string& text, uint64_t* out) {
   return true;
 }
 
-bool ParseUintList(const std::string& csv, uint64_t min, std::vector<uint64_t>* out) {
-  std::vector<uint64_t> values;
+bool SplitCsv(const std::string& csv, std::vector<std::string>* out) {
+  std::vector<std::string> items;
   size_t pos = 0;
   while (true) {
     const size_t comma = csv.find(',', pos);
-    uint64_t v = 0;
-    if (!ParseUint(csv.substr(pos, comma - pos), &v) || v < min) {
+    std::string item = csv.substr(pos, comma == std::string::npos ? comma : comma - pos);
+    if (item.empty()) {
       return false;
     }
-    values.push_back(v);
+    items.push_back(std::move(item));
     if (comma == std::string::npos) {
       break;
     }
     pos = comma + 1;
+  }
+  *out = std::move(items);
+  return true;
+}
+
+bool ParseUintList(const std::string& csv, uint64_t min, std::vector<uint64_t>* out) {
+  std::vector<std::string> items;
+  if (!SplitCsv(csv, &items)) {
+    return false;
+  }
+  std::vector<uint64_t> values(items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (!ParseUint(items[i], &values[i]) || values[i] < min) {
+      return false;
+    }
   }
   *out = std::move(values);
   return true;
@@ -78,8 +93,10 @@ void FlagParser::AddInt(const std::string& name, int64_t* target, const std::str
   flags_.push_back({name, Kind::kInt, target, help, DefaultToString(this, target, 0)});
 }
 
-void FlagParser::AddUint(const std::string& name, uint64_t* target, const std::string& help) {
-  flags_.push_back({name, Kind::kUint, target, help, DefaultToString(this, target, 1)});
+void FlagParser::AddUint(const std::string& name, uint64_t* target, const std::string& help,
+                         uint64_t min) {
+  flags_.push_back(
+      {name, Kind::kUint, target, help, DefaultToString(this, target, 1), nullptr, {}, min});
 }
 
 void FlagParser::AddDouble(const std::string& name, double* target, const std::string& help) {
@@ -128,8 +145,14 @@ bool FlagParser::SetValue(const Flag& flag, const std::string& value) {
       *static_cast<int64_t*>(flag.target) = v;
       return true;
     }
-    case Kind::kUint:
-      return ParseUint(value, static_cast<uint64_t*>(flag.target));
+    case Kind::kUint: {
+      uint64_t v = 0;
+      if (!ParseUint(value, &v) || v < flag.min) {
+        return false;
+      }
+      *static_cast<uint64_t*>(flag.target) = v;
+      return true;
+    }
     case Kind::kDouble: {
       const double v = std::strtod(value.c_str(), &end);
       if (end == nullptr || *end != '\0') {

@@ -22,15 +22,21 @@ namespace sgxb {
 // anything else and then leaves *out unchanged.
 bool ParseUint(const std::string& text, uint64_t* out);
 
-// A non-empty comma-separated list of ParseUint values, each >= `min`; an
-// empty item (",," or a trailing comma) is rejected. Replaces *out only on
+// Strict comma-separated list: at least one item and no empty item (",,",
+// or a leading or trailing comma). Returns false on anything else and then
+// leaves *out unchanged. Every list-valued flag splits through this.
+bool SplitCsv(const std::string& csv, std::vector<std::string>* out);
+
+// A SplitCsv list of ParseUint values, each >= `min`. Replaces *out only on
 // success.
 bool ParseUintList(const std::string& csv, uint64_t min, std::vector<uint64_t>* out);
 
 class FlagParser {
  public:
   void AddInt(const std::string& name, int64_t* target, const std::string& help);
-  void AddUint(const std::string& name, uint64_t* target, const std::string& help);
+  // A ParseUint value; values below `min` are rejected like malformed ones.
+  void AddUint(const std::string& name, uint64_t* target, const std::string& help,
+               uint64_t min = 0);
   void AddDouble(const std::string& name, double* target, const std::string& help);
   void AddBool(const std::string& name, bool* target, const std::string& help);
   void AddString(const std::string& name, std::string* target, const std::string& help);
@@ -63,6 +69,7 @@ class FlagParser {
     std::string default_value;
     std::function<bool(const std::string&)> parse{};
     std::vector<std::string> choices{};
+    uint64_t min = 0;  // kUint only
   };
 
   const Flag* Find(const std::string& name) const;

@@ -12,6 +12,7 @@
 #include <cstring>
 
 #include "src/common/check.h"
+#include "src/common/flags.h"
 #include "src/policy/scheme_list.h"
 
 namespace sgxb {
@@ -118,11 +119,15 @@ std::vector<PolicyKind> ParsePolicyList(const std::string& csv, std::string* err
     }
     return kinds;
   }
-  size_t start = 0;
-  while (start <= csv.size()) {
-    const size_t comma = csv.find(',', start);
-    const std::string id =
-        csv.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
+  std::vector<std::string> ids;
+  if (!SplitCsv(csv, &ids)) {
+    if (error != nullptr) {
+      *error = "invalid policy list '" + csv + "': empty item (valid: " + JoinChoices() +
+               ", or the shorthands 'paper'/'all')";
+    }
+    return {};
+  }
+  for (const std::string& id : ids) {
     const SchemeDescriptor* d = FindScheme(id);
     if (d == nullptr) {
       if (error != nullptr) {
@@ -132,10 +137,6 @@ std::vector<PolicyKind> ParsePolicyList(const std::string& csv, std::string* err
       return {};
     }
     kinds.push_back(d->kind);
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
   }
   return kinds;
 }

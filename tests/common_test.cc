@@ -213,6 +213,90 @@ TEST(FlagsTest, ParseUintAcceptsOnlyPlainDecimal) {
   }
 }
 
+TEST(FlagsTest, SplitCsvDirected) {
+  std::vector<std::string> v;
+  ASSERT_TRUE(SplitCsv("kmeans,matrixmul", &v));
+  EXPECT_EQ(v, (std::vector<std::string>{"kmeans", "matrixmul"}));
+  ASSERT_TRUE(SplitCsv(" a ,b", &v)) << "items are taken verbatim, spaces included";
+  EXPECT_EQ(v, (std::vector<std::string>{" a ", "b"}));
+  ASSERT_TRUE(SplitCsv("x", &v));
+  EXPECT_EQ(v, std::vector<std::string>{"x"});
+  const std::vector<std::string> kept = v;
+  for (const char* bad : {"", ",", ",,", "a,", ",a", "a,,b", "a,b,"}) {
+    EXPECT_FALSE(SplitCsv(bad, &v)) << "'" << bad << "'";
+    EXPECT_EQ(v, kept) << "a rejected list must leave the output alone: '" << bad << "'";
+  }
+}
+
+// Independent reference for SplitCsv: walks the characters once, closing an
+// item at every comma and at the end.
+bool ReferenceSplitCsv(const std::string& csv, std::vector<std::string>* out) {
+  std::vector<std::string> items;
+  std::string item;
+  for (size_t i = 0; i <= csv.size(); ++i) {
+    if (i == csv.size() || csv[i] == ',') {
+      if (item.empty()) {
+        return false;
+      }
+      items.push_back(item);
+      item.clear();
+    } else {
+      item += csv[i];
+    }
+  }
+  *out = items;
+  return true;
+}
+
+// Seeded mutants of well-formed lists: SplitCsv accepts exactly what the
+// reference accepts, with the same items, and leaves the output alone
+// otherwise. The splitter is shared by every list-valued flag (--policies,
+// --opts, --workloads, --traces, --apps, --recoveries and the numeric lists).
+TEST(FlagsTest, SplitCsvMatchesReferenceOnSeededMutants) {
+  const std::string seeds[] = {"native,sgxbounds,l4ptr", "kmeans", "safe,hoist",
+                               "failover,failover+hedge", "a,b,c,d"};
+  const std::string alphabet("ab,,, +\0", 8);
+  Rng rng(1701);
+  size_t accepted = 0;
+  size_t rejected = 0;
+  for (int round = 0; round < 4000; ++round) {
+    std::string m = seeds[rng.NextBounded(std::size(seeds))];
+    const uint64_t ops = 1 + rng.NextBounded(3);
+    for (uint64_t op = 0; op < ops; ++op) {
+      const size_t at = rng.NextBounded(m.size() + 1);
+      const char c = alphabet[rng.NextBounded(alphabet.size())];
+      switch (rng.NextBounded(3)) {
+        case 0:
+          m.insert(m.begin() + at, c);
+          break;
+        case 1:
+          if (at < m.size()) {
+            m.erase(at, 1);
+          }
+          break;
+        default:
+          if (at < m.size()) {
+            m[at] = c;
+          }
+          break;
+      }
+    }
+    std::vector<std::string> got = {"sentinel"};
+    std::vector<std::string> want;
+    const bool ok = SplitCsv(m, &got);
+    ASSERT_EQ(ok, ReferenceSplitCsv(m, &want)) << "mutant '" << m << "'";
+    if (ok) {
+      EXPECT_EQ(got, want) << "mutant '" << m << "'";
+      ++accepted;
+    } else {
+      EXPECT_EQ(got, std::vector<std::string>{"sentinel"}) << "mutant '" << m << "'";
+      ++rejected;
+    }
+  }
+  EXPECT_GT(accepted, 500u);
+  EXPECT_GT(rejected, 500u);
+}
+
 TEST(FlagsTest, ParseUintListDirected) {
   std::vector<uint64_t> v;
   ASSERT_TRUE(ParseUintList("8,16,94", 1, &v));
@@ -329,6 +413,25 @@ TEST(FlagsTest, MalformedUnsignedFlagsExitNamingTheFlag) {
     EXPECT_EXIT(parser.Parse(2, const_cast<char**>(argv)), ::testing::ExitedWithCode(2),
                 "invalid value '.*' for flag --epc")
         << arg;
+  }
+  // A floor set with AddUint rejects smaller values on the same path (the
+  // EPC-size flags take min 1: an empty EPC aborts the simulator).
+  for (const char* arg : {"--epc_mb=0", "--epc_mb=", "--epc_mb=-1"}) {
+    FlagParser parser;
+    uint64_t epc = 94;
+    parser.AddUint("epc_mb", &epc, "", /*min=*/1);
+    const char* argv[] = {"prog", arg};
+    EXPECT_EXIT(parser.Parse(2, const_cast<char**>(argv)), ::testing::ExitedWithCode(2),
+                "invalid value '.*' for flag --epc_mb")
+        << arg;
+  }
+  {
+    FlagParser parser;
+    uint64_t epc = 94;
+    parser.AddUint("epc_mb", &epc, "", /*min=*/1);
+    const char* argv[] = {"prog", "--epc_mb=1"};
+    parser.Parse(2, const_cast<char**>(argv));
+    EXPECT_EQ(epc, 1u);
   }
   for (const char* arg : {"--mibs=", "--mibs=abc", "--mibs=8,3x2", "--mibs=8,0", "--mibs=-1"}) {
     FlagParser parser;
