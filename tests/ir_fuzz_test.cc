@@ -1,51 +1,46 @@
 // Differential fuzzing of the instrumentation passes: generate random (but
-// memory-safe) canonical IR programs, run them uninstrumented and under each
-// of the three passes, and require
+// memory-safe) canonical IR programs, run them uninstrumented and under every
+// registered scheme's IR lowering with the check passes off, at their
+// defaults and all on, and require
 //   (1) identical results (passes preserve semantics),
 //   (2) zero violations (no false positives on safe programs),
 // and for deliberately-broken variants,
-//   (3) the SGXBounds pass traps while the uninstrumented run corrupts.
+//   (3) every bounds scheme traps while the uninstrumented run corrupts
+//       (l4ptr only once the overflow leaves its power-of-two padding),
+//   (4) both IR engines agree on every program under every lowering.
+// Each run builds the scheme's policy exactly as the workload harness does
+// and instruments through its lowering hook (PolicyFrontEnd::LowerIr).
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <bit>
+#include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/ir/builder.h"
 #include "src/ir/interp.h"
 #include "src/ir/opt/pipeline.h"
+#include "src/policy/scheme_list.h"
 
 namespace sgxb {
 namespace {
 
-struct FuzzRig {
-  FuzzRig() {
-    EnclaveConfig cfg;
-    cfg.space_bytes = 256 * kMiB;
-    enclave = std::make_unique<Enclave>(cfg);
-    heap = std::make_unique<Heap>(enclave.get(), 64 * kMiB);
-    stack = std::make_unique<StackAllocator>(enclave.get(), 4 * kMiB);
-    sgx = std::make_unique<SgxBoundsRuntime>(enclave.get(), heap.get());
-    asan = std::make_unique<AsanRuntime>(enclave.get(), heap.get());
-    mpx = std::make_unique<MpxRuntime>(enclave.get());
-    interp = std::make_unique<Interpreter>(enclave.get(), heap.get(), stack.get());
-    interp->AttachSgx(sgx.get());
-    interp->AttachAsan(asan.get());
-    interp->AttachMpx(mpx.get());
-  }
-  std::unique_ptr<Enclave> enclave;
-  std::unique_ptr<Heap> heap;
-  std::unique_ptr<StackAllocator> stack;
-  std::unique_ptr<SgxBoundsRuntime> sgx;
-  std::unique_ptr<AsanRuntime> asan;
-  std::unique_ptr<MpxRuntime> mpx;
-  std::unique_ptr<Interpreter> interp;
+// How far one loop of a generated program runs past its smaller array.
+enum class Overflow {
+  kNone,
+  kOneElement,
+  // Up to and including the first element at or past the next power of two
+  // of the array's size: past any power-of-two allocation padding.
+  kPastPaddedFootprint,
 };
 
 // Generates a random program of `n_arrays` arrays, a few counted loops doing
-// stores/loads/arithmetic at safe indices, returning a checksum. With
-// `overflow`, one loop bound exceeds its array by one element.
-IrFunction GenerateProgram(uint64_t seed, bool overflow) {
+// stores/loads/arithmetic at safe indices, returning a checksum. With an
+// overflow, one loop bound exceeds its smaller array, whose size in bytes is
+// then stored in *overflow_at (the offset of the first out-of-bounds access).
+IrFunction GenerateProgram(uint64_t seed, Overflow overflow,
+                           uint32_t* overflow_at = nullptr) {
   Rng rng(seed);
   IrBuilder b("fuzz");
   const uint32_t n_arrays = 2 + rng.NextBounded(3);
@@ -75,7 +70,13 @@ IrFunction GenerateProgram(uint64_t seed, bool overflow) {
     const uint32_t src = static_cast<uint32_t>(rng.NextBounded(n_arrays));
     const uint32_t dst = static_cast<uint32_t>(rng.NextBounded(n_arrays));
     const uint32_t limit = std::min(sizes[src], sizes[dst]);
-    const uint32_t bound = overflow && pass == 1 ? limit + 1 : limit;
+    uint32_t bound = limit;
+    if (pass == 1 && overflow != Overflow::kNone) {
+      bound = overflow == Overflow::kOneElement ? limit + 1 : std::bit_ceil(limit * 8) / 8 + 1;
+      if (overflow_at != nullptr) {
+        *overflow_at = limit * 8;
+      }
+    }
     auto loop = b.BeginCountedLoop(b.Const(0), b.Const(bound), 1);
     const ValueId v = b.Load(IrType::kI64, b.Gep(arrays[src], loop.iv, 8));
     const ValueId w = b.Add(v, b.Const(static_cast<int64_t>(rng.NextBounded(97))));
@@ -89,80 +90,35 @@ IrFunction GenerateProgram(uint64_t seed, bool overflow) {
   return b.Finish();
 }
 
-class IrFuzz : public ::testing::TestWithParam<int> {};
+// Which check passes a hardened run asks for.
+enum class Passes { kNone, kSafe, kHoist, kDefault, kAll };
+constexpr Passes kEveryPassSet[] = {Passes::kNone, Passes::kSafe, Passes::kHoist,
+                                    Passes::kDefault, Passes::kAll};
 
-TEST_P(IrFuzz, PassesPreserveSemanticsOnSafePrograms) {
-  const uint64_t seed = static_cast<uint64_t>(GetParam()) * 7919 + 3;
-  uint64_t reference = 0;
-  {
-    FuzzRig rig;
-    IrFunction fn = GenerateProgram(seed, /*overflow=*/false);
-    reference = rig.interp->Run(fn, rig.enclave->main_cpu());
-  }
-  {
-    FuzzRig rig;
-    IrFunction fn = GenerateProgram(seed, false);
-    for (const bool elide : {false, true}) {
-      for (const bool hoist : {false, true}) {
-        FuzzRig inner;
-        IrFunction hardened = GenerateProgram(seed, false);
-        CheckPassConfig options;
-        options.elide_safe = elide;
-        options.hoist_loops = hoist;
-        RunCheckPipeline(hardened, SgxBoundsCheckLowering(), options);
-        EXPECT_EQ(inner.interp->Run(hardened, inner.enclave->main_cpu()), reference)
-            << "seed " << seed << " elide " << elide << " hoist " << hoist;
-        EXPECT_EQ(inner.sgx->stats().violations, 0u);
-      }
+PolicyOptions OptionsFor(Passes passes) {
+  PolicyOptions o;  // kDefault: the SS4.4 pair on, the rest off
+  o.opt_safe_elision = passes == Passes::kSafe || passes == Passes::kDefault ||
+                       passes == Passes::kAll;
+  o.opt_hoist_checks = passes == Passes::kHoist || passes == Passes::kDefault ||
+                       passes == Passes::kAll;
+  o.opt_redundant_elision = passes == Passes::kAll;
+  o.opt_pattern_loops = passes == Passes::kAll;
+  o.opt_infield_elision = passes == Passes::kAll;
+  return o;
+}
+
+// Every registered scheme that instruments (all but the native baseline).
+std::vector<PolicyKind> HardenedKinds() {
+  std::vector<PolicyKind> kinds;
+  for (const SchemeDescriptor* d : AllSchemes()) {
+    if (!d->baseline) {
+      kinds.push_back(d->kind);
     }
   }
-  {
-    FuzzRig rig;
-    IrFunction hardened = GenerateProgram(seed, false);
-    RunCheckPipeline(hardened, AsanCheckLowering(), CheckPassConfig{});
-    EXPECT_EQ(rig.interp->Run(hardened, rig.enclave->main_cpu()), reference);
-    EXPECT_EQ(rig.asan->stats().reports, 0u);
-  }
-  {
-    FuzzRig rig;
-    IrFunction hardened = GenerateProgram(seed, false);
-    RunCheckPipeline(hardened, MpxCheckLowering(), CheckPassConfig{});
-    EXPECT_EQ(rig.interp->Run(hardened, rig.enclave->main_cpu()), reference);
-    EXPECT_EQ(rig.mpx->stats().violations, 0u);
-  }
+  return kinds;
 }
 
-TEST_P(IrFuzz, SgxPassTrapsOnOverflowingVariant) {
-  const uint64_t seed = static_cast<uint64_t>(GetParam()) * 7919 + 3;
-  // Uninstrumented: runs to completion (silent corruption).
-  {
-    FuzzRig rig;
-    IrFunction fn = GenerateProgram(seed, /*overflow=*/true);
-    EXPECT_NO_THROW(rig.interp->Run(fn, rig.enclave->main_cpu()));
-  }
-  // Hardened: must trap, with or without the optimizations.
-  for (const bool opts : {false, true}) {
-    FuzzRig rig;
-    IrFunction fn = GenerateProgram(seed, true);
-    CheckPassConfig options;
-    options.elide_safe = opts;
-    options.hoist_loops = opts;
-    RunCheckPipeline(fn, SgxBoundsCheckLowering(), options);
-    EXPECT_THROW(rig.interp->Run(fn, rig.enclave->main_cpu()), SimTrap)
-        << "seed " << seed << " opts " << opts;
-  }
-}
-
-// --- engine differential coverage ----------------------------------------------
-//
-// Every random program - safe and overflowing, under every instrumentation
-// pass - must behave identically on the reference and threaded engines:
-// same return value or same trap, same interpreter stats, and
-// bit-identical PerfCounters (the engines' definition of "same simulation").
-
-enum class Hardening { kNone, kSgx, kSgxOpt, kAsan, kMpx };
-
-struct EngineOutcome {
+struct Outcome {
   bool trapped = false;
   std::string trap_detail;
   uint64_t result = 0;
@@ -170,53 +126,127 @@ struct EngineOutcome {
   InterpStats stats;
 };
 
-EngineOutcome RunUnderEngine(IrEngine engine, uint64_t seed, bool overflow,
-                             Hardening hardening) {
-  FuzzRig rig;
-  rig.interp->set_engine(engine);
+// One fuzz run on a fresh enclave: the scheme's policy is built as the run
+// harness builds it, its lowering hook instruments the program and attaches
+// the runtime (native leaves the program bare), then one execution.
+Outcome RunProgram(PolicyKind kind, Passes passes, IrEngine engine, uint64_t seed,
+                   Overflow overflow) {
+  EnclaveConfig cfg;
+  cfg.space_bytes = 256 * kMiB;
+  Enclave enclave(cfg);
+  Heap heap(&enclave, 64 * kMiB);
+  StackAllocator stack(&enclave, 4 * kMiB);
+  Interpreter interp(&enclave, &heap, &stack);
+  interp.set_engine(engine);
   IrFunction fn = GenerateProgram(seed, overflow);
-  switch (hardening) {
-    case Hardening::kNone:
-      break;
-    case Hardening::kSgx:
-      RunCheckPipeline(fn, SgxBoundsCheckLowering(),
-                       CheckPassConfig{/*elide_safe=*/false, /*hoist_loops=*/false});
-      break;
-    case Hardening::kSgxOpt:
-      RunCheckPipeline(fn, SgxBoundsCheckLowering(), CheckPassConfig{});
-      break;
-    case Hardening::kAsan:
-      RunCheckPipeline(fn, AsanCheckLowering(), CheckPassConfig{});
-      break;
-    case Hardening::kMpx:
-      RunCheckPipeline(fn, MpxCheckLowering(), CheckPassConfig{});
-      break;
-  }
-  EngineOutcome out;
-  try {
-    out.result = rig.interp->Run(fn, rig.enclave->main_cpu());
-  } catch (const SimTrap& trap) {
-    out.trapped = true;
-    out.trap_detail = trap.what();
-  }
-  out.counters = rig.enclave->main_cpu().counters();
-  out.stats = rig.interp->stats();
+  Outcome out;
+  SchemePolicies::ForEach([&]<typename P>() {
+    if (P::kKind != kind) {
+      return false;
+    }
+    P policy(&enclave, &heap, OptionsFor(passes));
+    policy.LowerIr(interp, fn);
+    try {
+      out.result = interp.Run(fn, enclave.main_cpu());
+    } catch (const SimTrap& trap) {
+      out.trapped = true;
+      out.trap_detail = trap.what();
+    }
+    return true;
+  });
+  out.counters = enclave.main_cpu().counters();
+  out.stats = interp.stats();
   return out;
 }
 
+std::string Describe(PolicyKind kind, Passes passes, uint64_t seed) {
+  return std::string(SchemeOf(kind).id) + " passes " +
+         std::to_string(static_cast<int>(passes)) + " seed " + std::to_string(seed);
+}
+
+class IrFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(IrFuzz, PassesPreserveSemanticsOnSafePrograms) {
+  const uint64_t seed = static_cast<uint64_t>(GetParam()) * 7919 + 3;
+  const Outcome reference =
+      RunProgram(PolicyKind::kNative, Passes::kNone, IrEngine::kDefault, seed, Overflow::kNone);
+  ASSERT_FALSE(reference.trapped) << reference.trap_detail;
+  for (const PolicyKind kind : HardenedKinds()) {
+    for (const Passes passes : kEveryPassSet) {
+      const Outcome out = RunProgram(kind, passes, IrEngine::kDefault, seed, Overflow::kNone);
+      const std::string what = Describe(kind, passes, seed);
+      EXPECT_FALSE(out.trapped) << what << ": " << out.trap_detail;
+      EXPECT_EQ(out.result, reference.result) << what;
+      EXPECT_EQ(out.counters.bounds_violations, 0u) << what;
+    }
+  }
+}
+
+// l4ptr pads every object to a power of two (>= 32 bytes), so a one-element
+// overflow of an array whose size is not a power of two stays inside its
+// footprint: the scheme's documented structural miss. Every other scheme's
+// bounds are exact at the 8-byte element granularity used here, and every
+// scheme traps once the loop leaves the padded footprint.
+bool ExpectOverflowTrap(PolicyKind kind, Overflow overflow, uint32_t overflow_at) {
+  if (kind == PolicyKind::kL4Ptr && overflow == Overflow::kOneElement) {
+    return L4PaddedSize(overflow_at) == overflow_at;
+  }
+  return true;
+}
+
+TEST_P(IrFuzz, OverflowingVariantTrapsUnderEveryBoundsScheme) {
+  const uint64_t seed = static_cast<uint64_t>(GetParam()) * 7919 + 3;
+  // Uninstrumented: runs to completion (silent corruption).
+  const Outcome bare = RunProgram(PolicyKind::kNative, Passes::kNone, IrEngine::kDefault, seed,
+                                  Overflow::kOneElement);
+  EXPECT_FALSE(bare.trapped) << bare.trap_detail;
+  // Hardened: must trap (on a bounds violation), with or without the
+  // optimizations.
+  for (const Overflow overflow : {Overflow::kOneElement, Overflow::kPastPaddedFootprint}) {
+    uint32_t overflow_at = 0;
+    (void)GenerateProgram(seed, overflow, &overflow_at);
+    ASSERT_GT(overflow_at, 0u);
+    for (const PolicyKind kind : HardenedKinds()) {
+      for (const Passes passes : kEveryPassSet) {
+        const Outcome out = RunProgram(kind, passes, IrEngine::kDefault, seed, overflow);
+        const bool expected = ExpectOverflowTrap(kind, overflow, overflow_at);
+        EXPECT_EQ(out.trapped, expected)
+            << Describe(kind, passes, seed) << " overflow " << static_cast<int>(overflow)
+            << " at byte " << overflow_at << ": " << out.trap_detail;
+        EXPECT_EQ(out.counters.bounds_violations, expected ? 1u : 0u)
+            << Describe(kind, passes, seed);
+      }
+    }
+  }
+}
+
+// --- engine differential coverage ----------------------------------------------
+//
+// Every random program - safe and overflowing, under every scheme's lowering
+// and pass set - must behave identically on the reference and threaded
+// engines: same return value or same trap, same interpreter stats, and
+// bit-identical PerfCounters (the engines' definition of "same simulation").
+
 TEST_P(IrFuzz, EnginesAgreeOnEveryProgram) {
   const uint64_t seed = static_cast<uint64_t>(GetParam()) * 7919 + 3;
-  for (const bool overflow : {false, true}) {
-    for (const Hardening hardening : {Hardening::kNone, Hardening::kSgx,
-                                      Hardening::kSgxOpt, Hardening::kAsan,
-                                      Hardening::kMpx}) {
-      const EngineOutcome ref =
-          RunUnderEngine(IrEngine::kReference, seed, overflow, hardening);
-      const EngineOutcome out =
-          RunUnderEngine(IrEngine::kThreaded, seed, overflow, hardening);
-      const std::string what = "seed " + std::to_string(seed) + " overflow " +
-                               std::to_string(overflow) + " hardening " +
-                               std::to_string(static_cast<int>(hardening));
+  struct Hardening {
+    PolicyKind kind;
+    Passes passes;
+  };
+  std::vector<Hardening> hardenings = {{PolicyKind::kNative, Passes::kNone}};
+  for (const PolicyKind kind : HardenedKinds()) {
+    for (const Passes passes : kEveryPassSet) {
+      hardenings.push_back({kind, passes});
+    }
+  }
+  for (const Overflow overflow :
+       {Overflow::kNone, Overflow::kOneElement, Overflow::kPastPaddedFootprint}) {
+    for (const Hardening& h : hardenings) {
+      const Outcome ref = RunProgram(h.kind, h.passes, IrEngine::kReference, seed, overflow);
+      const Outcome out = RunProgram(h.kind, h.passes, IrEngine::kThreaded, seed, overflow);
+      const std::string what =
+          Describe(h.kind, h.passes, seed) + " overflow " +
+          std::to_string(static_cast<int>(overflow));
       EXPECT_EQ(ref.trapped, out.trapped) << what;
       EXPECT_EQ(ref.trap_detail, out.trap_detail) << what;
       EXPECT_EQ(ref.result, out.result) << what;
