@@ -1,7 +1,8 @@
 // THE single registration point of the scheme registry.
 //
 // Adding a scheme: append its PolicyKind value (policy.h), create
-// src/policy/<scheme>/ with the policy class + a scheme.cc defining
+// src/policy/<scheme>/ with one scheme class deriving from PolicyFrontEnd
+// (front_end.h lists the primitives it supplies) + a scheme.cc defining
 // Descriptor(), then add the type to SchemePolicies below. Nothing else in
 // the repo changes - the registry (policy.cc), the run harness (run.h), the
 // IR suite, the bench drivers, the trace tool, RIPE and the fault campaigns
